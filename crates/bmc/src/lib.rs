@@ -452,7 +452,9 @@ pub struct BmcStats {
     /// Wall-clock microseconds spent unrolling frames into CNF.
     pub encode_micros: u64,
     /// Wall-clock microseconds spent in the per-depth SAT queries
-    /// (including warm fingerprinting and witness extraction).
+    /// (including warm fingerprinting and witness extraction). CNF
+    /// preprocessing runs inside the solve, so this includes
+    /// `solver.preprocess_micros`; the two timers nest.
     pub solve_micros: u64,
 }
 
@@ -1368,6 +1370,30 @@ mod tests {
              though the final per-depth session never solved: {:?}",
             stats.solver
         );
+    }
+
+    #[test]
+    fn preprocess_time_nests_inside_solve_time() {
+        // Preprocessing runs inside the timed per-depth solve, so the
+        // two layer timers nest rather than partition the run.
+        for incremental in [true, false] {
+            let mut p = ExprPool::new();
+            let ts = counter_system(&mut p, 12);
+            let options = BmcOptions::default()
+                .with_max_bound(8)
+                .with_preprocess(true)
+                .with_incremental(incremental);
+            let mut bmc = Bmc::new(&ts, options);
+            assert!(bmc.check(&ts, &mut p).is_clean());
+            let stats = bmc.stats();
+            assert!(stats.solver_calls > 0);
+            assert!(
+                stats.solver.preprocess_micros <= stats.solve_micros,
+                "incremental={incremental}: preprocess {}us outside solve {}us",
+                stats.solver.preprocess_micros,
+                stats.solve_micros
+            );
+        }
     }
 
     #[test]

@@ -117,7 +117,7 @@ pub enum Command {
         /// Write a structured JSONL trace of the run to this path.
         trace_out: Option<String>,
         /// Write the full per-obligation report (plus the metrics
-        /// snapshot and per-job attribution) as JSON to this path.
+        /// snapshot) as JSON to this path.
         report_json: Option<String>,
         /// Root a durable artifact store here: verdicts and cones from
         /// earlier runs warm this one, and this run's are flushed back.
@@ -385,9 +385,8 @@ USAGE:
                                        as JSONL (inspect with trace_report);
                                        --report-json writes the full
                                        per-obligation report plus the metrics
-                                       snapshot and per-job attribution as
-                                       JSON. Neither changes the verdict or
-                                       the exit code.
+                                       snapshot as JSON. Neither changes the
+                                       verdict or the exit code.
                                        --store-dir roots a durable artifact
                                        store: verdicts and COI cones persist
                                        across runs (and survive crashes), so
@@ -601,11 +600,8 @@ pub fn run_with_stop(
                 },
                 None => Engine::new(),
             };
-            // Attribution rides the same gate as the other obs
-            // features: metered only when a report (or trace) asked
-            // for it, so the default path stays identical.
-            let meter = obs_on.then(|| std::sync::Arc::new(aqed_obs::JobMeter::new()));
-            let result = engine.verify_metered(&request, stop, meter.clone());
+            // No heartbeats on the one-shot path, so no live meter.
+            let result = engine.verify_metered(&request, stop, None);
             if trace_installed {
                 aqed_obs::uninstall_sink();
             }
@@ -663,10 +659,6 @@ pub fn run_with_stop(
                 let metrics = aqed_obs::metrics::global().snapshot();
                 if let aqed_obs::json::Json::Obj(fields) = &mut json {
                     fields.push(("metrics".to_string(), metrics.to_json()));
-                    if let Some(m) = &meter {
-                        m.set_phase(aqed_obs::MeterPhase::Done);
-                        fields.push(("attribution".to_string(), m.to_json()));
-                    }
                 }
                 std::fs::write(path, format!("{json}\n"))?;
                 writeln!(out, "wrote report JSON to {path}")?;

@@ -179,10 +179,10 @@ pub struct RunContext {
     /// drains the run as `Inconclusive {reason: Cancelled}` without
     /// affecting sibling runs under the same parent.
     pub stop: Option<StopHandle>,
-    /// Per-job resource attribution. When set, workers fold each
-    /// obligation's terminal stats into the meter as they finish, so a
-    /// concurrent reader (heartbeat thread, `stats` scrape) sees the
-    /// job's phase breakdown and solver totals while it runs.
+    /// Live progress for a concurrent reader (the serve heartbeat
+    /// thread): obligations done out of total, and the solver's
+    /// mid-solve conflict samples. Counters and layer times of the
+    /// finished run are in the report's `aggregate`, not here.
     pub meter: Option<Arc<aqed_obs::JobMeter>>,
 }
 
@@ -468,7 +468,6 @@ pub fn verify_obligations_governed<B: SatBackend + Default>(
     let meter = ctx.meter.as_deref();
     if let Some(m) = meter {
         m.set_obligations_total(total as u64);
-        m.set_phase(aqed_obs::MeterPhase::Running);
     }
     let next = AtomicUsize::new(0);
     let completed = AtomicUsize::new(0);
@@ -503,7 +502,7 @@ pub fn verify_obligations_governed<B: SatBackend + Default>(
         for _ in 0..workers {
             scope.spawn(|| {
                 // Route the solver's mid-solve progress samples to this
-                // job's meter for live heartbeat attribution.
+                // job's meter for live heartbeat progress.
                 aqed_obs::meter::set_thread_meter(ctx.meter.clone());
                 worker_loop::<B>(
                     composed,
@@ -760,39 +759,11 @@ fn worker_loop<B: SatBackend + Default>(
             armed.cancel();
         }
         if let Some(m) = meter {
-            absorb_into_meter(m, &report);
+            m.note_obligation_done();
         }
         lock_unpoisoned(results).push((idx, report));
         completed.fetch_add(1, Ordering::Release);
     }
-}
-
-/// Folds one terminal obligation report into the job's shared meter.
-/// Called once per obligation on whichever path ended it (solved,
-/// cached, reused, cancelled, panicked), so the meter's view converges
-/// on the final report's aggregate.
-fn absorb_into_meter(m: &aqed_obs::JobMeter, r: &ObligationReport) {
-    if r.cache_hit {
-        m.note_cache_hit();
-    }
-    m.add_verdicts_reused(r.stats.verdicts_reused);
-    m.add_solver(
-        r.stats.solver_calls,
-        r.stats.solver.conflicts,
-        r.stats.solver.propagations,
-    );
-    m.add_learnts(
-        r.stats.solver.learnt_imported,
-        r.stats.solver.learnt_discarded,
-    );
-    m.note_arena_bytes(r.stats.solver.arena_bytes);
-    m.add_phase_ns(
-        r.stats.coi_micros.saturating_mul(1_000),
-        r.stats.solver.preprocess_micros.saturating_mul(1_000),
-        r.stats.encode_micros.saturating_mul(1_000),
-        r.stats.solve_micros.saturating_mul(1_000),
-    );
-    m.note_obligation_done();
 }
 
 /// Locks a mutex, recovering the guard if a previous holder panicked.
@@ -1047,6 +1018,45 @@ mod tests {
         assert!(report.to_string().contains("obligations"));
         // Every completed obligation records at least one attempt.
         assert!(report.obligations.iter().all(|r| r.attempts >= 1));
+    }
+
+    #[test]
+    fn meter_tracks_obligations_and_live_conflicts() {
+        let mut p = ExprPool::new();
+        let spec = AccelSpec::new("inc", 2, 6, 6);
+        let lca = synthesize(
+            &spec,
+            &mut p,
+            SynthOptions {
+                forwarding_bug: true,
+                ..SynthOptions::default()
+            },
+            |pool, _a, d| {
+                let one = pool.lit(6, 1);
+                pool.add(d, one)
+            },
+        );
+        let (composed, _) = AqedHarness::new(&lca)
+            .with_fc(FcConfig::default())
+            .with_rb(RbConfig::default())
+            .build(&mut p);
+        let meter = Arc::new(aqed_obs::JobMeter::new());
+        let ctx = RunContext {
+            meter: Some(Arc::clone(&meter)),
+            ..RunContext::default()
+        };
+        let options = BmcOptions::default().with_max_bound(8);
+        let sched = ScheduleOptions::default().with_jobs(2);
+        let report = verify_obligations_governed::<Solver>(&composed, &p, &options, &sched, &ctx);
+        assert!(report.found_bug(), "{report}");
+        let total = report.obligations.len() as u64;
+        assert!(total > 1);
+        assert_eq!(meter.obligations_total(), total);
+        assert_eq!(meter.obligations_done(), total);
+        // Every solve folds its conflicts in when it returns, so once the
+        // run is over the live count has caught up with the report.
+        assert!(report.aggregate.solver.conflicts > 0);
+        assert_eq!(meter.conflicts(), report.aggregate.solver.conflicts);
     }
 
     #[test]

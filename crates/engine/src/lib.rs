@@ -331,10 +331,11 @@ impl Engine {
     }
 
     /// [`Engine::verify`] with optional cancellation and a shared
-    /// [`JobMeter`](aqed_obs::JobMeter): the scheduler folds each
-    /// obligation's terminal stats into the meter as it finishes, so a
-    /// concurrent reader (heartbeat thread, `stats` scrape) can
-    /// attribute the job's resource use while it runs.
+    /// [`JobMeter`](aqed_obs::JobMeter) carrying live progress only
+    /// (obligations done out of total, mid-solve conflicts), so a
+    /// concurrent reader such as a heartbeat thread can watch the job
+    /// while it runs. Counters and layer times are in the returned
+    /// report's `aggregate`.
     ///
     /// # Errors
     ///

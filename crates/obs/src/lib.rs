@@ -56,7 +56,7 @@ pub mod metrics;
 pub mod recorder;
 pub mod sink;
 
-pub use meter::{JobMeter, MeterPhase};
+pub use meter::JobMeter;
 pub use recorder::FlightRecorder;
 pub use sink::{JsonlSink, MemorySink, TraceSink};
 

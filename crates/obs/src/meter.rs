@@ -1,25 +1,21 @@
-//! Per-job resource attribution.
+//! Live per-job progress.
 //!
-//! A [`JobMeter`] is a lock-free bundle of atomics shared between the
-//! thread running a verification job and whoever wants to report on
-//! it (the serve heartbeat thread, the `job.done` event, the CLI
-//! report JSON). The scheduler updates it at obligation granularity —
-//! cache hits, reused verdicts, solver totals, and the phase-time
-//! breakdown absorbed from each obligation's BMC stats — so "which
-//! job burned the CPU, and in which phase" is answerable from the
-//! event stream alone, while the job is still running.
+//! A [`JobMeter`] is a small lock-free bundle of atomics shared between
+//! the thread running a verification job and a concurrent reader (the
+//! serve heartbeat thread). It carries only what the job's final report
+//! cannot provide while the job is still running: how many obligations
+//! exist, how many have finished, and a live conflict count sampled
+//! mid-solve. Every counter and layer time of a finished job lives in
+//! its report's `aggregate` (`BmcStats`), never here.
 //!
 //! The meter lives in `aqed-obs` (which everything already depends
-//! on) so the scheduler, engine, server, and CLI can all share one
+//! on) so the scheduler, solver, engine, and server can all share one
 //! type without a new dependency edge. All counters are plain relaxed
-//! atomics: attribution is monitoring, not accounting, and a reader
-//! racing a writer sees a value at most one obligation stale.
+//! atomics: progress is monitoring, not accounting.
 
-use crate::json::Json;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 thread_local! {
     /// The meter mid-solve progress deltas flow into on this thread;
@@ -27,17 +23,23 @@ thread_local! {
     static CURRENT_METER: RefCell<Option<Arc<JobMeter>>> = const { RefCell::new(None) };
 }
 
-/// Installs `meter` as this thread's live-attribution target and
-/// returns the previous one. Solver-internal progress samples (which
-/// fire mid-solve, long before an obligation completes) reach the job
-/// meter through this thread-local — the solver cannot carry a meter
+/// Installs `meter` as this thread's live-progress target and returns
+/// the previous one. Solver-internal progress samples (which fire
+/// mid-solve, long before an obligation completes) reach the job meter
+/// through this thread-local — the solver cannot carry a meter
 /// reference itself without poisoning `Eq` on its options types.
-/// Scheduler worker threads set it for the duration of their loop;
-/// threads that never set it (portfolio helpers, tests) contribute
-/// nothing live, and their totals still arrive when the obligation
-/// completes.
+/// Scheduler worker threads set it for the duration of their loop, and
+/// portfolio racer threads inherit their caller's via
+/// [`current_thread_meter`].
 pub fn set_thread_meter(meter: Option<Arc<JobMeter>>) -> Option<Arc<JobMeter>> {
     CURRENT_METER.with(|slot| std::mem::replace(&mut *slot.borrow_mut(), meter))
+}
+
+/// This thread's live-progress target, for handing on to helper
+/// threads that solve on the job's behalf.
+#[must_use]
+pub fn current_thread_meter() -> Option<Arc<JobMeter>> {
+    CURRENT_METER.with(|slot| slot.borrow().clone())
 }
 
 /// Folds a mid-solve conflict delta into this thread's meter, if one
@@ -53,79 +55,18 @@ pub fn add_live_conflicts(n: u64) {
     });
 }
 
-/// Coarse lifecycle phase, readable while the job runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MeterPhase {
-    /// Accepted but not yet claimed by a worker.
-    Queued,
-    /// A worker is executing obligations.
-    Running,
-    /// Terminal (done, errored, or cancelled).
-    Done,
-}
-
-impl MeterPhase {
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            MeterPhase::Queued => "queued",
-            MeterPhase::Running => "running",
-            MeterPhase::Done => "done",
-        }
-    }
-
-    fn from_u8(v: u8) -> Self {
-        match v {
-            1 => MeterPhase::Running,
-            2 => MeterPhase::Done,
-            _ => MeterPhase::Queued,
-        }
-    }
-}
-
-/// Shared, lock-free attribution for one verification job.
+/// Shared, lock-free live progress of one verification job.
 #[derive(Debug, Default)]
 pub struct JobMeter {
-    phase: AtomicU8,
-    queue_wait_ns: AtomicU64,
     obligations_total: AtomicU64,
     obligations_done: AtomicU64,
-    cache_hits: AtomicU64,
-    verdicts_reused: AtomicU64,
-    solver_calls: AtomicU64,
-    conflicts: AtomicU64,
-    propagations: AtomicU64,
-    learnt_imported: AtomicU64,
-    learnt_discarded: AtomicU64,
-    peak_arena_bytes: AtomicU64,
-    /// Conflicts sampled mid-solve via [`add_live_conflicts`]; a lower
-    /// bound that moves while [`JobMeter::conflicts`] (exact, absorbed
-    /// at obligation completion) stands still.
     live_conflicts: AtomicU64,
-    coi_ns: AtomicU64,
-    preprocess_ns: AtomicU64,
-    encode_ns: AtomicU64,
-    solve_ns: AtomicU64,
 }
 
 impl JobMeter {
     #[must_use]
     pub fn new() -> Self {
         JobMeter::default()
-    }
-
-    /// Records how long the job sat queued before a worker claimed it.
-    pub fn set_queue_wait(&self, wait: Duration) {
-        self.queue_wait_ns.store(ns(wait), Ordering::Relaxed);
-    }
-
-    pub fn set_phase(&self, phase: MeterPhase) {
-        self.phase.store(phase as u8, Ordering::Relaxed);
-    }
-
-    #[must_use]
-    pub fn phase(&self) -> MeterPhase {
-        MeterPhase::from_u8(self.phase.load(Ordering::Relaxed))
     }
 
     /// Total obligation count, known once the schedule is built.
@@ -139,56 +80,16 @@ impl JobMeter {
         self.obligations_done.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// One obligation was answered from the artifact store's
-    /// design-hash cache without solving.
-    pub fn note_cache_hit(&self) {
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Obligations (or warm-start frame prefixes) answered by reused
-    /// persisted verdicts instead of solving.
-    pub fn add_verdicts_reused(&self, n: u64) {
-        self.verdicts_reused.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Folds one obligation's solver totals into the job.
-    pub fn add_solver(&self, calls: u64, conflicts: u64, propagations: u64) {
-        self.solver_calls.fetch_add(calls, Ordering::Relaxed);
-        self.conflicts.fetch_add(conflicts, Ordering::Relaxed);
-        self.propagations.fetch_add(propagations, Ordering::Relaxed);
-    }
-
-    /// Folds one obligation's learnt-clause traffic into the job.
-    pub fn add_learnts(&self, imported: u64, discarded: u64) {
-        self.learnt_imported.fetch_add(imported, Ordering::Relaxed);
-        self.learnt_discarded
-            .fetch_add(discarded, Ordering::Relaxed);
-    }
-
-    /// Tracks the largest solver arena seen by any obligation.
-    pub fn note_arena_bytes(&self, bytes: u64) {
-        self.peak_arena_bytes.fetch_max(bytes, Ordering::Relaxed);
-    }
-
-    /// Folds one obligation's phase breakdown (nanoseconds) into the
-    /// job totals.
-    pub fn add_phase_ns(&self, coi: u64, preprocess: u64, encode: u64, solve: u64) {
-        self.coi_ns.fetch_add(coi, Ordering::Relaxed);
-        self.preprocess_ns.fetch_add(preprocess, Ordering::Relaxed);
-        self.encode_ns.fetch_add(encode, Ordering::Relaxed);
-        self.solve_ns.fetch_add(solve, Ordering::Relaxed);
-    }
-
     /// Conflicts so far — the heartbeat's "is it making progress"
-    /// signal. The larger of the exact per-obligation total (absorbed
-    /// at completion) and the live mid-solve samples, so the value
-    /// moves during a long solve instead of jumping only at obligation
-    /// boundaries. Final attribution JSON reports the exact total.
+    /// signal. A lower bound on the job's true conflict count: the
+    /// solver folds in mid-solve deltas at its coarse progress tick
+    /// (only while observability is enabled) and the remainder when each
+    /// solve returns, so a solve still in flight between ticks is not
+    /// yet counted. The exact total is in the final report's
+    /// `aggregate`.
     #[must_use]
     pub fn conflicts(&self) -> u64 {
-        self.conflicts
-            .load(Ordering::Relaxed)
-            .max(self.live_conflicts.load(Ordering::Relaxed))
+        self.live_conflicts.load(Ordering::Relaxed)
     }
 
     #[must_use]
@@ -200,56 +101,6 @@ impl JobMeter {
     pub fn obligations_total(&self) -> u64 {
         self.obligations_total.load(Ordering::Relaxed)
     }
-
-    /// Full attribution snapshot: phase breakdown, solver totals,
-    /// store hit attribution, and peak arena bytes. This is the
-    /// `attribution` object on `job.done` events and in report JSON.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        Json::obj(vec![
-            ("phase", Json::from(self.phase().as_str())),
-            (
-                "obligations",
-                Json::obj(vec![
-                    ("done", Json::num(load(&self.obligations_done))),
-                    ("total", Json::num(load(&self.obligations_total))),
-                ]),
-            ),
-            ("cache_hits", Json::num(load(&self.cache_hits))),
-            ("verdicts_reused", Json::num(load(&self.verdicts_reused))),
-            (
-                "solver",
-                Json::obj(vec![
-                    ("calls", Json::num(load(&self.solver_calls))),
-                    ("conflicts", Json::num(load(&self.conflicts))),
-                    ("propagations", Json::num(load(&self.propagations))),
-                    ("learnt_imported", Json::num(load(&self.learnt_imported))),
-                    ("learnt_discarded", Json::num(load(&self.learnt_discarded))),
-                    ("peak_arena_bytes", Json::num(load(&self.peak_arena_bytes))),
-                ]),
-            ),
-            (
-                "phases_ms",
-                Json::obj(vec![
-                    ("queue_wait", ms_json(load(&self.queue_wait_ns))),
-                    ("coi", ms_json(load(&self.coi_ns))),
-                    ("preprocess", ms_json(load(&self.preprocess_ns))),
-                    ("encode", ms_json(load(&self.encode_ns))),
-                    ("solve", ms_json(load(&self.solve_ns))),
-                ]),
-            ),
-        ])
-    }
-}
-
-fn ns(d: Duration) -> u64 {
-    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
-}
-
-#[allow(clippy::cast_precision_loss)]
-fn ms_json(ns: u64) -> Json {
-    Json::Num(ns as f64 / 1e6)
 }
 
 #[cfg(test)]
@@ -257,60 +108,34 @@ mod tests {
     use super::*;
 
     #[test]
-    fn meter_accumulates_and_snapshots() {
-        let m = JobMeter::new();
-        assert_eq!(m.phase(), MeterPhase::Queued);
-        m.set_queue_wait(Duration::from_millis(3));
-        m.set_phase(MeterPhase::Running);
-        m.set_obligations_total(4);
-        m.note_cache_hit();
-        m.note_obligation_done();
-        m.add_verdicts_reused(1);
-        m.note_obligation_done();
-        m.add_solver(2, 100, 5_000);
-        m.add_learnts(10, 3);
-        m.note_arena_bytes(1_000);
-        m.note_arena_bytes(500);
-        m.add_phase_ns(1_000_000, 2_000_000, 3_000_000, 4_000_000);
-        m.add_phase_ns(0, 0, 0, 1_000_000);
-        m.note_obligation_done();
-        m.set_phase(MeterPhase::Done);
-
-        assert_eq!(m.conflicts(), 100);
-        assert_eq!(m.obligations_done(), 3);
-        assert_eq!(m.obligations_total(), 4);
-
-        let j = m.to_json();
-        assert_eq!(j.get("phase").and_then(Json::as_str), Some("done"));
-        assert_eq!(j.get("cache_hits").and_then(Json::as_u64), Some(1));
-        assert_eq!(j.get("verdicts_reused").and_then(Json::as_u64), Some(1));
-        let solver = j.get("solver").expect("solver");
-        assert_eq!(solver.get("calls").and_then(Json::as_u64), Some(2));
-        assert_eq!(solver.get("conflicts").and_then(Json::as_u64), Some(100));
-        assert_eq!(
-            solver.get("peak_arena_bytes").and_then(Json::as_u64),
-            Some(1_000),
-            "peak is a max, not a sum"
-        );
-        let phases = j.get("phases_ms").expect("phases_ms");
-        let solve = phases.get("solve").and_then(Json::as_f64).unwrap();
-        assert!((solve - 5.0).abs() < 1e-9, "solve {solve}ms");
-        let wait = phases.get("queue_wait").and_then(Json::as_f64).unwrap();
-        assert!((wait - 3.0).abs() < 1e-9, "queue wait {wait}ms");
+    fn live_conflicts_reach_only_the_installed_meter() {
+        let m = Arc::new(JobMeter::new());
+        add_live_conflicts(5);
+        assert_eq!(m.conflicts(), 0, "no meter installed yet");
+        let prev = set_thread_meter(Some(Arc::clone(&m)));
+        assert!(prev.is_none());
+        add_live_conflicts(7);
+        let inherited = current_thread_meter().expect("installed");
+        std::thread::spawn(move || {
+            set_thread_meter(Some(inherited));
+            add_live_conflicts(3);
+        })
+        .join()
+        .unwrap();
+        set_thread_meter(None);
+        add_live_conflicts(11);
+        assert_eq!(m.conflicts(), 10);
     }
 
     #[test]
-    fn meter_json_round_trips_through_the_parser() {
+    fn obligation_progress_counts_up_to_total() {
         let m = JobMeter::new();
-        m.add_solver(1, 2, 3);
-        let text = format!("{}", m.to_json());
-        let parsed = crate::json::parse(&text).expect("meter JSON parses");
-        assert_eq!(
-            parsed
-                .get("solver")
-                .and_then(|s| s.get("propagations"))
-                .and_then(Json::as_u64),
-            Some(3)
-        );
+        assert_eq!((m.obligations_done(), m.obligations_total()), (0, 0));
+        m.set_obligations_total(4);
+        for _ in 0..3 {
+            m.note_obligation_done();
+        }
+        assert_eq!(m.obligations_done(), 3);
+        assert_eq!(m.obligations_total(), 4);
     }
 }

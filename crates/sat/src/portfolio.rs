@@ -260,6 +260,9 @@ impl PortfolioBackend {
 
         let winner = AtomicUsize::new(usize::MAX);
         let parent_span = aqed_obs::current_span_id();
+        // Racers solve on the job's behalf: their mid-solve conflict
+        // samples must reach the caller's live meter.
+        let meter = aqed_obs::meter::current_thread_meter();
         let children_ref = &children;
         let winner_ref = &winner;
         let mut results: Vec<SolveResult> = Vec::with_capacity(width);
@@ -267,8 +270,10 @@ impl PortfolioBackend {
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(width);
             for (i, slot) in self.workers[..width].iter_mut().enumerate() {
+                let meter = meter.clone();
                 handles.push(scope.spawn(move || {
                     aqed_obs::set_current_span_id(parent_span);
+                    aqed_obs::meter::set_thread_meter(meter);
                     let mut span = aqed_obs::async_span(
                         "portfolio.worker",
                         aqed_obs::next_span_id(),

@@ -474,6 +474,8 @@ struct ObsState {
     /// `(wall clock, conflicts, propagations)` at the previous sample.
     last: Option<(std::time::Instant, u64, u64)>,
     samples: u64,
+    /// Conflict count already folded into the thread's job meter.
+    live_flushed: u64,
 }
 
 #[derive(Debug, Clone)]
@@ -1569,7 +1571,17 @@ impl Solver {
             self.has_model = true;
         }
         self.backtrack_to(0);
+        self.flush_live_conflicts();
         result
+    }
+
+    /// Folds the conflicts not yet reported into this thread's job
+    /// meter, so heartbeats also count solves too short to reach a
+    /// progress tick.
+    fn flush_live_conflicts(&mut self) {
+        let conflicts = self.stats.conflicts;
+        aqed_obs::meter::add_live_conflicts(conflicts.saturating_sub(self.obs.live_flushed));
+        self.obs.live_flushed = conflicts;
     }
 
     /// CDCL progress sample, taken at the coarse budget tick (the one
@@ -1584,6 +1596,9 @@ impl Solver {
             self.obs.last = None;
             return;
         }
+        // Live per-job progress: heartbeats see conflicts move *during*
+        // a long solve, not just when it returns.
+        self.flush_live_conflicts();
         let now = std::time::Instant::now();
         let conflicts = self.stats.conflicts;
         let props = self.stats.propagations;
@@ -1591,9 +1606,6 @@ impl Solver {
             let dt_ns = u64::try_from(now.duration_since(t0).as_nanos()).unwrap_or(u64::MAX);
             let dc = conflicts.saturating_sub(c0);
             let dp = props.saturating_sub(p0);
-            // Live per-job attribution: heartbeats see conflicts move
-            // *during* a long solve, not just at obligation boundaries.
-            aqed_obs::meter::add_live_conflicts(dc);
             if let Some(rate) = dc.saturating_mul(1_000_000_000).checked_div(dt_ns) {
                 if self.obs.handles.is_none() {
                     let m = aqed_obs::metrics::global();

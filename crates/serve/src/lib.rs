@@ -67,7 +67,7 @@ use aqed_engine::{Engine, VerifyRequest};
 use aqed_obs::aggregate::Aggregator;
 use aqed_obs::json::{self, Json};
 use aqed_obs::metrics;
-use aqed_obs::{FlightRecorder, JobMeter, MeterPhase};
+use aqed_obs::{FlightRecorder, JobMeter};
 use aqed_sat::StopHandle;
 use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -107,8 +107,8 @@ pub struct ServeOptions {
     /// `None` in production.
     pub panic_on_case: Option<String>,
     /// Cadence of `job.heartbeat` events while a job runs. Each
-    /// heartbeat carries the job's attribution-so-far (phase, elapsed,
-    /// conflicts, obligations done).
+    /// heartbeat carries the job's live progress (elapsed, conflicts so
+    /// far, obligations done).
     pub heartbeat_interval: Duration,
     /// Byte budget of the in-memory flight recorder (oldest events
     /// evicted past it). The recorder is always on; this only bounds
@@ -183,10 +183,9 @@ struct Job {
     stop: StopHandle,
     done: Arc<AtomicBool>,
     emitter: Emitter,
-    /// Shared attribution: the scheduler writes, the heartbeat thread
-    /// and the terminal `job.done` event read.
+    /// Live progress: the scheduler writes, the heartbeat thread reads.
     meter: Arc<JobMeter>,
-    /// When the job entered the queue; queue-wait attribution.
+    /// When the job entered the queue; `job.started` reports the wait.
     queued_at: Instant,
 }
 
@@ -935,13 +934,16 @@ fn run_job(state: &Arc<ServerState>, worker: usize, job: Job, inflight: &Mutex<O
         done: Arc::clone(&job.done),
         request: job.request.to_json(),
     });
-    job.meter.set_queue_wait(job.queued_at.elapsed());
     job.emitter.emit(
         "job.started",
         vec![
             ("job", Json::num(job.id)),
             ("case", Json::Str(job.request.case.clone())),
             ("worker", Json::num(worker as u64)),
+            (
+                "queue_wait_ms",
+                Json::Num(job.queued_at.elapsed().as_secs_f64() * 1e3),
+            ),
         ],
     );
     if state
@@ -956,7 +958,7 @@ fn run_job(state: &Arc<ServerState>, worker: usize, job: Job, inflight: &Mutex<O
     }
     // Progress heartbeat: proof of life while the solver grinds, so a
     // client can distinguish "queued behind others" from "running".
-    // Each beat carries the attribution-so-far off the shared meter.
+    // Each beat carries the live progress off the shared meter.
     let beat = {
         let emitter = job.emitter.clone();
         let done = Arc::clone(&job.done);
@@ -984,7 +986,8 @@ fn run_job(state: &Arc<ServerState>, worker: usize, job: Job, inflight: &Mutex<O
                         "elapsed_ms",
                         Json::num(started.elapsed().as_millis() as u64),
                     ),
-                    ("phase", Json::Str(meter.phase().as_str().into())),
+                    // Beats only run between job.started and job.done.
+                    ("phase", Json::Str("running".into())),
                     ("conflicts", Json::num(meter.conflicts())),
                     ("obligations_done", Json::num(meter.obligations_done())),
                     ("obligations_total", Json::num(meter.obligations_total())),
@@ -996,7 +999,6 @@ fn run_job(state: &Arc<ServerState>, worker: usize, job: Job, inflight: &Mutex<O
         state
             .engine
             .verify_metered(&job.request, Some(&job.stop), Some(Arc::clone(&job.meter)));
-    job.meter.set_phase(MeterPhase::Done);
     // `swap` so the supervisor and this worker agree on who reports the
     // terminal event if the worker dies in the reporting window.
     let already_reported = job.done.swap(true, Ordering::AcqRel);
@@ -1014,7 +1016,6 @@ fn run_job(state: &Arc<ServerState>, worker: usize, job: Job, inflight: &Mutex<O
                         ("exit_code", Json::num(exit_code)),
                         ("verdict", Json::Str(verdict.clone())),
                         ("cache_hits", Json::num(outcome.report.cache_hits)),
-                        ("attribution", job.meter.to_json()),
                         ("report", outcome.report.to_json()),
                     ],
                 );

@@ -26,7 +26,10 @@ impl Daemon {
     /// Spawns the real binary against `store` and waits for it to
     /// publish its ephemeral port.
     fn spawn(store: &Path, extra: &[&str]) -> Daemon {
-        let port_file = temp_path(&format!("port-{}", std::process::id()));
+        // One port file per store: the tests run in parallel in one
+        // process, and a shared file lets one test read (or delete)
+        // another's daemon port.
+        let port_file = store.with_extension("port");
         let _ = std::fs::remove_file(&port_file);
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_aqed-serve"));
         cmd.arg("serve")

@@ -1,12 +1,12 @@
 //! Observability-plane tests of the daemon: the `stats` snapshot,
-//! heartbeat attribution, the flight recorder's memory bound, and the
+//! heartbeat progress, the flight recorder's memory bound, and the
 //! error paths of the one-shot admin client helpers.
 //!
 //! The trace-sink slot is process-global and every `Server::start`
 //! claims it, so tests that assert on a specific server's recorder
 //! serialize on [`OBS_LOCK`].
 
-use aqed_engine::VerifyRequest;
+use aqed_engine::{BackendKind, VerifyRequest};
 use aqed_obs::json::Json;
 use aqed_serve::{query_health, query_stats, submit, submit_with, ServeOptions, Server};
 use std::io::{self, BufRead, BufReader, Write};
@@ -119,7 +119,7 @@ fn stats_exposes_prometheus_text_and_rates_after_traffic() {
 }
 
 #[test]
-fn job_done_carries_attribution_and_heartbeats_carry_progress() {
+fn job_done_carries_the_report_aggregate_and_heartbeats_carry_progress() {
     let _guard = lock();
     let mut opts = options(1, 4);
     // Fast heartbeats so a sub-second cancelled job still sees several.
@@ -127,90 +127,122 @@ fn job_done_carries_attribution_and_heartbeats_carry_progress() {
     let server = Server::start(&opts).expect("bind");
     let addr = server.addr();
 
-    // A quick healthy job: its job.done event must carry attribution.
-    let mut attribution = Json::Null;
+    // A quick healthy job: job.started reports its queue wait, and
+    // job.done's report aggregate is the job's one stats record.
+    let (mut started, mut done) = (Json::Null, Json::Null);
     let outcome = submit_with(addr, &quick_request(), None, |event| {
-        if event.get("name").and_then(Json::as_str) == Some("job.done") {
-            if let Some(args) = event.get("args") {
-                attribution = args.get("attribution").cloned().unwrap_or(Json::Null);
-            }
+        let args = event.get("args").cloned().unwrap_or(Json::Null);
+        match event.get("name").and_then(Json::as_str) {
+            Some("job.started") => started = args,
+            Some("job.done") => done = args,
+            _ => {}
         }
     })
     .expect("served run");
     assert_eq!(outcome.exit_code, 0, "{}", outcome.verdict);
-    assert_eq!(
-        attribution.get("phase").and_then(Json::as_str),
-        Some("done"),
-        "attribution: {attribution}"
-    );
-    let obligations = attribution.get("obligations").expect("obligations");
-    let total = obligations.get("total").and_then(Json::as_u64).unwrap();
-    let done = obligations.get("done").and_then(Json::as_u64).unwrap();
-    assert!(total > 0 && done == total, "{attribution}");
-    let solver = attribution.get("solver").expect("solver totals");
     assert!(
-        solver.get("calls").and_then(Json::as_u64).unwrap() > 0,
-        "{attribution}"
+        started
+            .get("queue_wait_ms")
+            .and_then(Json::as_f64)
+            .is_some(),
+        "job.started: {started}"
     );
-    let phases = attribution.get("phases_ms").expect("phase breakdown");
-    for key in ["queue_wait", "coi", "preprocess", "encode", "solve"] {
+    assert!(
+        done.get("attribution").is_none(),
+        "job.done must not duplicate the report: {done}"
+    );
+    let aggregate = done
+        .get("report")
+        .and_then(|r| r.get("aggregate"))
+        .expect("job.done report aggregate");
+    assert!(
+        aggregate
+            .get("solver_calls")
+            .and_then(Json::as_u64)
+            .unwrap()
+            > 0,
+        "{aggregate}"
+    );
+    for key in ["coi_micros", "encode_micros", "solve_micros"] {
         assert!(
-            phases.get(key).and_then(Json::as_f64).is_some(),
-            "missing phase '{key}' in {attribution}"
+            aggregate.get(key).and_then(Json::as_u64).is_some(),
+            "missing layer timer '{key}' in {aggregate}"
         );
     }
     assert!(
-        phases.get("solve").and_then(Json::as_f64).unwrap() > 0.0,
-        "a solved job must have spent time in the solve phase: {attribution}"
+        aggregate
+            .get("solver")
+            .and_then(|s| s.get("preprocess_micros"))
+            .and_then(Json::as_u64)
+            .is_some(),
+        "missing layer timer 'solver.preprocess_micros' in {aggregate}"
+    );
+    assert!(
+        aggregate
+            .get("solve_micros")
+            .and_then(Json::as_u64)
+            .unwrap()
+            > 0,
+        "a solved job must have spent time in the solve layer: {aggregate}"
     );
 
-    // A slow job cancelled after ~400ms: heartbeats at 50ms cadence
-    // must arrive, and must report the running phase with progress
-    // counters attached.
-    let mut beats = Vec::new();
-    let outcome = submit_with(
-        addr,
-        &slow_request(),
-        Some(Duration::from_millis(400)),
-        |event| {
+    // A slow job cancelled after ~400ms, on both the single CDCL solver
+    // and a two-racer portfolio: heartbeats at 50ms cadence must arrive,
+    // report the running phase, and show live solver progress.
+    let mut portfolio = slow_request();
+    portfolio.backend = BackendKind::Portfolio;
+    portfolio.portfolio_workers = 2;
+    for request in [slow_request(), portfolio] {
+        let backend = request.backend;
+        let mut beats = Vec::new();
+        let outcome = submit_with(addr, &request, Some(Duration::from_millis(400)), |event| {
             if event.get("name").and_then(Json::as_str) == Some("job.heartbeat") {
                 if let Some(args) = event.get("args") {
                     beats.push(args.clone());
                 }
             }
-        },
-    )
-    .expect("served run");
-    assert_eq!(outcome.exit_code, 2, "{}", outcome.verdict);
-    assert!(
-        beats.len() >= 2,
-        "expected several heartbeats from a 400ms job at 50ms cadence, got {}",
-        beats.len()
-    );
-    for beat in &beats {
-        assert_eq!(
-            beat.get("phase").and_then(Json::as_str),
-            Some("running"),
-            "{beat}"
+        })
+        .expect("served run");
+        assert_eq!(outcome.exit_code, 2, "{backend:?}: {}", outcome.verdict);
+        assert!(
+            beats.len() >= 2,
+            "{backend:?}: expected several heartbeats from a 400ms job at 50ms cadence, got {}",
+            beats.len()
         );
-        assert!(beat.get("conflicts").and_then(Json::as_u64).is_some());
-        assert!(beat.get("elapsed_ms").and_then(Json::as_u64).is_some());
-        assert!(beat
-            .get("obligations_total")
-            .and_then(Json::as_u64)
-            .is_some());
+        for beat in &beats {
+            assert_eq!(
+                beat.get("phase").and_then(Json::as_str),
+                Some("running"),
+                "{beat}"
+            );
+            assert!(beat.get("conflicts").and_then(Json::as_u64).is_some());
+            assert!(beat.get("elapsed_ms").and_then(Json::as_u64).is_some());
+            let done = beat.get("obligations_done").and_then(Json::as_u64);
+            let total = beat.get("obligations_total").and_then(Json::as_u64);
+            assert!(done.unwrap() <= total.unwrap(), "{beat}");
+        }
+        // The schedule is built well before the last beat of a 400ms job.
+        assert!(
+            beats
+                .last()
+                .and_then(|b| b.get("obligations_total"))
+                .and_then(Json::as_u64)
+                .unwrap()
+                > 0,
+            "{backend:?}: heartbeat never saw the obligation count"
+        );
+        // AES at bound 8 grinds conflicts: the last beat must show
+        // solver progress, not a flat zero.
+        assert!(
+            beats
+                .last()
+                .and_then(|b| b.get("conflicts"))
+                .and_then(Json::as_u64)
+                .unwrap()
+                > 0,
+            "{backend:?}: heartbeat conflicts never moved"
+        );
     }
-    // AES at bound 8 grinds conflicts: the last beat must show solver
-    // progress, not a flat zero.
-    assert!(
-        beats
-            .last()
-            .and_then(|b| b.get("conflicts"))
-            .and_then(Json::as_u64)
-            .unwrap()
-            > 0,
-        "heartbeat conflicts never moved"
-    );
     server.begin_shutdown();
     server.join();
 }

@@ -443,4 +443,20 @@ echo "  postmortem bundle $(basename "$bundle") validated by trace_report"
 wait "$serve_pid"
 serve_pid=""
 
+echo "== benchmark smoke: aqedbench builds and every workload runs clean"
+# aqedbench is a separate package that links the engine crates by path
+# and builds some of their public structs by literal, so a program
+# change can break it without any other phase noticing. Each workload
+# runs on tiny inputs; its last stdout line is the result JSON, which
+# must report every verdict correct and no failed request.
+for workload in bughunt ci-reverify served-warm; do
+    result=$(bash aqedbench/run.sh --workload "$workload" --seed 1 --smoke | tail -n 1)
+    if ! echo "$result" | grep -q '"correct":true' \
+        || ! echo "$result" | grep -q '"failed":0[,}]'; then
+        echo "benchmark smoke of '$workload' failed: $result" >&2
+        exit 1
+    fi
+    echo "  $workload: correct, 0 failed"
+done
+
 echo "CI OK"
