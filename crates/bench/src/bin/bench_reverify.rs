@@ -6,30 +6,29 @@
 //! cargo run --release -p aqed-bench --bin bench_reverify -- [edited-case] [bound] [jobs]
 //! ```
 //!
-//! Models the incremental workflow the warm-start machinery targets: a
+//! Models the incremental workflow the store's cone keys target: a
 //! nightly run verifies every design in the suite (cold, populating the
-//! store), a no-op re-run is answered from the design-keyed cache, then
-//! one design is edited by one constant — a paper-style
-//! `OffByOneConstant` injection into its next-state logic — and the
-//! whole suite is re-verified warm. Designs the edit did not touch are
-//! served whole from their design keys; inside the edited design,
-//! obligations whose cone of influence the edit missed reuse their
-//! cone-keyed verdicts and only the hit cones are re-solved. The
-//! warm-after-edit verdicts are asserted identical to a cold run of the
-//! edited suite, so every speedup row below is a *sound* speedup.
+//! store), a no-op re-run is answered from the store, then one design
+//! is edited by one constant — a paper-style `OffByOneConstant`
+//! injection into its next-state logic — and the whole suite is
+//! re-verified warm. Designs the edit did not touch keep every cone key
+//! and are served whole; inside the edited design, obligations whose
+//! cone of influence the edit missed reuse their verdicts and only the
+//! hit cones are re-solved. The warm-after-edit verdicts are asserted
+//! identical to a cold run of the edited suite, so every speedup row
+//! below is a *sound* speedup.
 //!
 //! The edit is chosen to maximise untouched cones within the edited
 //! design (with at least one cone hit); set `AQED_EDIT_SITE=N` to
 //! benchmark a specific injection site instead, and `AQED_SUITE` to a
-//! comma-separated case list to change the suite. `AQED_WARM_START=0`
-//! disables the cone layer in the re-verify phases, reproducing the
-//! design-keys-only behaviour the store had before warm-start existed.
+//! comma-separated case list to change the suite. `AQED_BENCH_DIR`
+//! redirects the JSON this writes (default `results/`).
 
 use aqed_bench::write_bench_json;
 use aqed_bmc::BmcOptions;
 use aqed_core::{
     cone_hash, verify_obligations_governed, AqedHarness, ArtifactStore, CheckOutcome,
-    ParallelVerifyReport, RunContext, ScheduleOptions, JOURNAL_FILE, SNAPSHOT_FILE,
+    ParallelVerifyReport, RunContext, ScheduleOptions,
 };
 use aqed_designs::{all_cases, BugCase};
 use aqed_expr::ExprPool;
@@ -90,12 +89,9 @@ fn run(
     bound: usize,
     jobs: usize,
     store: Option<&Arc<ArtifactStore>>,
-    warm_start: bool,
 ) -> (ParallelVerifyReport, Duration) {
     let options = BmcOptions::default().with_max_bound(bound);
-    let sched = ScheduleOptions::default()
-        .with_jobs(jobs)
-        .with_warm_start(warm_start);
+    let sched = ScheduleOptions::default().with_jobs(jobs);
     let ctx = match store {
         Some(s) => RunContext::with_artifacts(Arc::clone(s)),
         None => RunContext::default(),
@@ -178,7 +174,6 @@ fn main() {
         .to_string();
     let bound: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(8);
     let jobs: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(1);
-    let warm_start = std::env::var("AQED_WARM_START").map_or(true, |v| v != "0");
     let suite_env = std::env::var("AQED_SUITE").unwrap_or_else(|_| DEFAULT_SUITE.to_string());
     let mut suite_ids: Vec<String> = suite_env.split(',').map(str::to_string).collect();
     if !suite_ids.contains(&edited_id) {
@@ -218,10 +213,6 @@ fn main() {
         suite_ids.join(" ")
     );
     println!(
-        "warm-start (cone-keyed verdict + learnt-clause reuse): {}",
-        if warm_start { "on" } else { "off" }
-    );
-    println!(
         "edit: {} in {edited_id} ({}/{} of its cones untouched)",
         edited.edit_description.as_deref().unwrap_or("?"),
         edited.cones_untouched,
@@ -244,27 +235,14 @@ fn main() {
     let mut phase_rows: Vec<Json> = Vec::new();
     let mut cold = Sweep::default();
     for m in &members {
-        let (r, t) = run(&m.composed, &m.pool, bound, jobs, Some(&store), true);
+        let (r, t) = run(&m.composed, &m.pool, bound, jobs, Some(&store));
         cold.absorb(m.id, &r, t);
     }
     phase_rows.push(row("cold suite", &cold, cold.time));
 
-    // Freeze a copy of the nightly store for the ablation below, so it
-    // sees exactly the pre-edit facts the warm run saw.
-    let dir2 =
-        std::env::temp_dir().join(format!("aqed-bench-reverify-ablate-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir2);
-    store.flush().expect("flush store");
-    std::fs::create_dir_all(&dir2).expect("create ablation dir");
-    for f in [JOURNAL_FILE, SNAPSHOT_FILE] {
-        if dir.join(f).exists() {
-            std::fs::copy(dir.join(f), dir2.join(f)).expect("copy store file");
-        }
-    }
-
     let mut warm_id = Sweep::default();
     for m in &members {
-        let (r, t) = run(&m.composed, &m.pool, bound, jobs, Some(&store), warm_start);
+        let (r, t) = run(&m.composed, &m.pool, bound, jobs, Some(&store));
         warm_id.absorb(m.id, &r, t);
     }
     phase_rows.push(row("warm identical", &warm_id, cold.time));
@@ -272,7 +250,7 @@ fn main() {
 
     let mut cold_edit = Sweep::default();
     for m in &members {
-        let (r, t) = run(post(m), &m.pool, bound, jobs, None, true);
+        let (r, t) = run(post(m), &m.pool, bound, jobs, None);
         cold_edit.absorb(m.id, &r, t);
     }
     phase_rows.push(row("cold after edit", &cold_edit, cold_edit.time));
@@ -280,7 +258,7 @@ fn main() {
     let mut warm_edit = Sweep::default();
     let mut edited_reused = 0u64;
     for m in &members {
-        let (r, t) = run(post(m), &m.pool, bound, jobs, Some(&store), warm_start);
+        let (r, t) = run(post(m), &m.pool, bound, jobs, Some(&store));
         if m.id == edited_id {
             edited_reused = r.aggregate.verdicts_reused;
         }
@@ -291,23 +269,6 @@ fn main() {
         cold_edit.keys, warm_edit.keys,
         "warm-after-edit verdicts diverged from cold — unsound reuse"
     );
-
-    // Ablation: design-keyed reuse only (the cone layer off), against a
-    // frozen copy of the pre-edit store. Unchanged designs are still
-    // served whole; the edited design re-solves every obligation,
-    // including the ones its edit never touched. (Skipped when the run
-    // itself is already ablated via AQED_WARM_START=0.)
-    if warm_start {
-        let store2 = Arc::new(ArtifactStore::open(&dir2).expect("open ablation store"));
-        let mut ablate = Sweep::default();
-        for m in &members {
-            let (r, t) = run(post(m), &m.pool, bound, jobs, Some(&store2), false);
-            ablate.absorb(m.id, &r, t);
-        }
-        phase_rows.push(row("  no cone reuse", &ablate, cold_edit.time));
-        assert_eq!(cold_edit.keys, ablate.keys, "ablated re-run drifted");
-    }
-    let _ = std::fs::remove_dir_all(&dir2);
 
     println!(
         "verdict identity: OK ({} obligations across {} designs)",
@@ -337,7 +298,6 @@ fn main() {
             ),
             ("bound", Json::num(bound as u64)),
             ("jobs", Json::num(jobs as u64)),
-            ("warm_start", Json::from(warm_start)),
             ("cones_untouched", Json::num(edited.cones_untouched as u64)),
             ("cones_total", Json::num(edited.cones_total as u64)),
             ("verdict_identity", Json::from(true)),

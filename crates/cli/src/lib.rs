@@ -79,8 +79,7 @@ pub enum Command {
     List,
     /// `aqed verify <case> [--bound N] [--healthy] [--vcd FILE]
     /// [--witness] [--jobs N] [--backend NAME] [--timeout SECS]
-    /// [--conflict-budget N] [--fail-fast] [--no-preprocess] [--no-coi]
-    /// [--no-warm-start]`
+    /// [--conflict-budget N] [--fail-fast] [--no-preprocess] [--no-coi]`
     Verify {
         /// Case id.
         case: String,
@@ -111,16 +110,14 @@ pub enum Command {
         preprocess: bool,
         /// Slice each obligation to the cone of influence of its bad.
         coi: bool,
-        /// Reuse cone-keyed verdicts and learnt-clause packs from the
-        /// artifact store (inert without `--store-dir`; requires COI).
-        warm_start: bool,
         /// Write a structured JSONL trace of the run to this path.
         trace_out: Option<String>,
         /// Write the full per-obligation report (plus the metrics
         /// snapshot) as JSON to this path.
         report_json: Option<String>,
-        /// Root a durable artifact store here: verdicts and cones from
-        /// earlier runs warm this one, and this run's are flushed back.
+        /// Root a durable artifact store here: verdicts and learnt packs
+        /// from earlier runs warm this one, and this run's are flushed
+        /// back.
         store_dir: Option<String>,
     },
     /// `aqed conventional <case>`
@@ -186,7 +183,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Pa
             let mut fail_fast = false;
             let mut preprocess = true;
             let mut coi = true;
-            let mut warm_start = true;
             let mut trace_out = None;
             let mut report_json = None;
             let mut store_dir = None;
@@ -296,8 +292,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Pa
                     "--no-preprocess" => preprocess = false,
                     "--coi" => coi = true,
                     "--no-coi" => coi = false,
-                    "--warm-start" => warm_start = true,
-                    "--no-warm-start" => warm_start = false,
                     other => {
                         return Err(ParseCommandError(format!("unknown flag '{other}'")));
                     }
@@ -319,7 +313,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Pa
                 fail_fast,
                 preprocess,
                 coi,
-                warm_start,
                 trace_out,
                 report_json,
                 store_dir,
@@ -359,7 +352,6 @@ USAGE:
                      [--portfolio-workers N] [--no-clause-sharing]
                      [--timeout SECS] [--conflict-budget N] [--fail-fast]
                      [--no-preprocess] [--no-coi] [--store-dir DIR]
-                     [--no-warm-start]
                      [--trace-out FILE] [--report-json FILE]
                                        run A-QED (BMC) on a case; each FC/RB/SAC
                                        property is an independent obligation,
@@ -388,18 +380,15 @@ USAGE:
                                        snapshot as JSON. Neither changes the
                                        verdict or the exit code.
                                        --store-dir roots a durable artifact
-                                       store: verdicts and COI cones persist
-                                       across runs (and survive crashes), so
-                                       repeat verification of an unchanged
-                                       design is answered from disk. With a
-                                       store, warm-start is on by default:
-                                       after an edit, obligations whose COI
-                                       cone is untouched reuse their persisted
-                                       verdicts (bugs replay-validated against
-                                       the new design), and changed cones
-                                       import learnt-clause packs from the
-                                       previous run; --no-warm-start forces a
-                                       cold re-verification.
+                                       store keyed by each obligation's COI
+                                       cone: verdicts persist across runs
+                                       (and survive crashes), so a repeat
+                                       run, or a run after an edit that
+                                       missed a cone, answers those
+                                       obligations from disk (bugs replay-
+                                       validated against the new design),
+                                       and changed cones import learnt-clause
+                                       packs from the previous run.
                                        exit codes: 0 clean, 1 bug found,
                                        2 inconclusive, degraded, or usage error
   aqed conventional <case>             run the conventional simulation flow
@@ -534,7 +523,6 @@ pub fn run_with_stop(
             fail_fast,
             preprocess,
             coi,
-            warm_start,
             trace_out,
             report_json,
             store_dir,
@@ -555,7 +543,6 @@ pub fn run_with_stop(
                 fail_fast: *fail_fast,
                 preprocess: *preprocess,
                 coi: *coi,
-                warm_start: *warm_start,
             };
             // Arm observability before the run so metrics and spans
             // cover it end to end; torn down again below so one
@@ -806,7 +793,6 @@ mod tests {
                 fail_fast: false,
                 preprocess: true,
                 coi: true,
-                warm_start: true,
                 trace_out: None,
                 report_json: None,
                 store_dir: None
@@ -829,7 +815,6 @@ mod tests {
                 fail_fast: false,
                 preprocess: true,
                 coi: true,
-                warm_start: true,
                 trace_out: None,
                 report_json: None,
                 store_dir: None
@@ -852,7 +837,6 @@ mod tests {
                 fail_fast: false,
                 preprocess: true,
                 coi: true,
-                warm_start: true,
                 trace_out: None,
                 report_json: None,
                 store_dir: None
@@ -918,7 +902,6 @@ mod tests {
                 fail_fast: true,
                 preprocess: true,
                 coi: true,
-                warm_start: true,
                 trace_out: None,
                 report_json: None,
                 store_dir: None
@@ -955,25 +938,6 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-    }
-
-    #[test]
-    fn parses_warm_start_flags() {
-        // Warm-start defaults on; --no-warm-start disables it and the
-        // positive spelling re-enables it, mirroring the other toggles.
-        match parse(&["verify", "x"]).expect("parse") {
-            Command::Verify { warm_start, .. } => assert!(warm_start),
-            other => panic!("unexpected {other:?}"),
-        }
-        match parse(&["verify", "x", "--no-warm-start"]).expect("parse") {
-            Command::Verify { warm_start, .. } => assert!(!warm_start),
-            other => panic!("unexpected {other:?}"),
-        }
-        match parse(&["verify", "x", "--no-warm-start", "--warm-start"]).expect("parse") {
-            Command::Verify { warm_start, .. } => assert!(warm_start),
-            other => panic!("unexpected {other:?}"),
-        }
-        assert!(usage().contains("--no-warm-start"));
     }
 
     #[test]
@@ -1021,7 +985,6 @@ mod tests {
                 fail_fast: false,
                 preprocess: true,
                 coi: true,
-                warm_start: true,
                 trace_out: None,
                 report_json: None,
                 store_dir: None,
@@ -1052,7 +1015,6 @@ mod tests {
                 fail_fast: false,
                 preprocess: true,
                 coi: true,
-                warm_start: true,
                 trace_out: None,
                 report_json: None,
                 store_dir: None,
@@ -1086,7 +1048,6 @@ mod tests {
                     fail_fast: false,
                     preprocess: true,
                     coi: true,
-                    warm_start: true,
                     trace_out: None,
                     report_json: None,
                     store_dir: None,
@@ -1136,7 +1097,6 @@ mod tests {
                 fail_fast: false,
                 preprocess: true,
                 coi: true,
-                warm_start: true,
                 trace_out: None,
                 report_json: None,
                 store_dir: None,
@@ -1169,7 +1129,6 @@ mod tests {
                 fail_fast: true,
                 preprocess: true,
                 coi: true,
-                warm_start: true,
                 trace_out: None,
                 report_json: None,
                 store_dir: None,

@@ -1,140 +1,104 @@
 //! Cross-request artifact cache for verification runs.
 //!
 //! A long-lived process (the `aqed-serve` daemon, a warm CI loop) sees
-//! the same composed design over and over. [`ArtifactStore`] is the
-//! content-addressed memory shared by those runs: artifacts are keyed by
-//! a 64-bit hash of the composed system's canonical BTOR2 export (see
-//! [`design_hash`]), so "the same design" means *textually the same
-//! model*, independent of which request built it.
+//! the same obligations over and over. [`ArtifactStore`] is the
+//! content-addressed memory shared by those runs. Every artifact is
+//! keyed by `(cone, bad name)`, where `cone` is [`cone_hash`]: a 64-bit
+//! hash of the canonical BTOR2 export of the obligation's COI *slice*.
+//! Two obligations share a key exactly when BMC would solve textually
+//! the same sliced model, whichever request built it and whatever the
+//! rest of the design looks like.
 //!
-//! Four artifact kinds are stored:
+//! Two artifact kinds are stored:
 //!
-//! * **COI cones** — the per-(design, bad-set) support fixpoints that
-//!   the per-run [`CoiCache`] memoizes. Cones are encoded positionally
-//!   (indices into the system's `inputs ++ states` declaration order,
-//!   never raw `VarId`s) so they stay valid across requests that rebuild
-//!   the design in a fresh [`ExprPool`]. A run seeds its `CoiCache` from
-//!   the store before solving and donates new cones back afterwards.
-//! * **Obligation verdicts** — per-(design, bad) facts merged across
-//!   runs: the deepest bound known clean and the shallowest known
-//!   counterexample. Only *definitive* outcomes are recorded (`Clean`,
-//!   validated `Bug`); `Inconclusive`/`Errored` depend on budgets and
-//!   are never cached. Because BMC explores depth by depth, a stored
-//!   bug's depth is minimal, so a warm hit reproduces exactly the
-//!   verdict a cold run would compute — a bug at depth `d` answers any
-//!   request with bound ≥ `d`, and a design clean to bound `k` answers
-//!   any request with bound ≤ `k`.
-//! * **Cone-keyed verdicts** — the same facts keyed by
-//!   [`cone_hash`]: the content hash of the obligation's COI *slice*
-//!   rather than the whole design. Because the slice keeps every
-//!   constraint and is exactly what BMC solves, an obligation's verdict
-//!   is fully determined by its slice — so after an edit that leaves a
-//!   cone untouched, the cone-keyed fact still applies even though the
-//!   whole-design hash changed. This is what makes warm-start
-//!   re-verification ("CI mode") skip untouched obligations entirely.
-//! * **Learnt-clause packs** — per-(cone, bad) clause cores exported
-//!   from a finished BMC run, re-injected on the next run over the
-//!   identical slice. Packs are hints, never facts: injection re-checks
-//!   per-frame variable fingerprints and discards on any mismatch, and
-//!   an injected clause is redundant with respect to the (identical)
-//!   CNF, so a wrong pack can cost time but not a verdict.
+//! * **Verdicts** — per-key facts merged across runs: the deepest bound
+//!   known clean and the shallowest known counterexample. Only
+//!   *definitive* outcomes are recorded (`Clean`, validated `Bug`);
+//!   `Inconclusive`/`Errored` depend on budgets and are never cached.
+//!   Because BMC explores depth by depth, a stored bug's depth is
+//!   minimal, so a hit reproduces exactly the verdict a cold run would
+//!   compute — a bug at depth `d` answers any request with bound ≥ `d`,
+//!   and a slice clean to bound `k` answers any request with bound ≤
+//!   `k`. An unchanged design hits on every obligation; after an edit,
+//!   every obligation whose cone the edit missed still hits.
+//! * **Learnt-clause packs** — per-key clause cores exported from a
+//!   finished BMC run, re-injected on the next run over the identical
+//!   slice. Packs are hints, never facts: injection re-checks per-frame
+//!   variable fingerprints and discards on any mismatch, and an
+//!   injected clause is redundant with respect to the (identical) CNF,
+//!   so a wrong pack can cost time but not a verdict.
 //!
-//! Soundness guards: a 64-bit content hash plus a bad-name check gate
-//! every lookup, and a cached counterexample is **replayed on the
-//! concrete simulator against the requesting run's system** before
-//! being served — a hash collision or stale entry degrades to a cache
-//! miss, never to a wrong verdict.
+//! Soundness: an obligation's verdict is fully determined by its slice.
+//! The slice keeps every constraint, and COI slicing is verdict-exact,
+//! so a fact about the slice is a fact about the full system whether or
+//! not the requesting run then solves the slice. Every lookup matches
+//! the slice hash and the bad name; a stored counterexample is widened
+//! onto the requesting run's full system and **replayed on the concrete
+//! simulator** before it is served, so a hash collision or stale entry
+//! behind a bug degrades to a cache miss. A clean fact cannot be
+//! replayed; it rests on the key alone.
 //!
 //! # Durability
 //!
 //! A store opened with [`ArtifactStore::open`] additionally journals
-//! every definitive verdict and cone to disk (append-only, checksummed,
+//! every definitive verdict and pack to disk (append-only, checksummed,
 //! snapshot-compacted — see [`crate::persist`]) and recovers them on
 //! the next open, so a daemon restart — graceful or SIGKILL — starts
-//! warm. Counterexamples are persisted positionally and re-validated by
-//! simulator replay before being served, exactly like in-memory
-//! entries: recovery can only lose records (corruption truncates at the
-//! first bad record), never serve a wrong verdict.
+//! warm. Counterexamples are persisted positionally against the slice
+//! and pass the same replay gate as in-memory entries: recovery can
+//! only lose records (corruption truncates at the first bad record),
+//! never serve a wrong verdict.
 
 use crate::persist::{DiskJournal, PersistedCex, Record, StoreOptions};
-use crate::verify::{CheckOutcome, PropertyKind};
+use crate::verify::CheckOutcome;
 use aqed_bitvec::Bv;
 use aqed_bmc::{Counterexample, LearntPack};
 use aqed_expr::{ExprPool, VarId};
 use aqed_obs::json::Json;
 use aqed_obs::metrics;
-use aqed_tsys::{to_btor2, CoiCache, CoiSlice, Trace, TransitionSystem};
-use std::collections::{HashMap, HashSet};
+use aqed_tsys::{to_btor2, CoiSlice, Trace, TransitionSystem};
+use std::collections::HashMap;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Content hash of a composed system: FNV-1a 64 over its canonical
-/// BTOR2 export. Two requests share artifacts exactly when their
-/// composed design+monitor systems print identically.
+/// Content hash of a transition system: FNV-1a 64 over its canonical
+/// BTOR2 export. [`cone_hash`] applies it to an obligation's slice.
 #[must_use]
 pub fn design_hash(ts: &TransitionSystem, pool: &ExprPool) -> u64 {
     crate::persist::fnv1a(to_btor2(ts, pool).as_bytes())
 }
 
-/// Derived warm-start key for one obligation: the content hash of its
-/// COI slice's canonical BTOR2 export. Obligations whose cone a design
-/// edit does not touch keep their cone hash even though the
-/// whole-design hash changed — this, plus the bad-name guard, is the
-/// primary soundness gate for every cone-keyed artifact (two
-/// obligations share a key exactly when BMC would solve the same
-/// sliced model).
+/// The store's key for one obligation: the content hash of its COI
+/// slice's canonical BTOR2 export. Obligations whose cone a design
+/// edit does not touch keep their cone hash even though the rest of
+/// the design changed. Together with the bad name it keys every
+/// artifact (two obligations share a key exactly when BMC would solve
+/// the same sliced model).
 #[must_use]
 pub fn cone_hash(slice: &CoiSlice, pool: &ExprPool) -> u64 {
     design_hash(&slice.system, pool)
 }
 
-/// A known counterexample for one obligation, in whichever forms are
-/// available: `decoded` (live `VarId`s, from this process) and/or
-/// `encoded` (positional, from disk or ready for disk). Either form is
-/// replay-validated before being served.
-#[derive(Debug, Clone)]
-struct BugFact {
-    property: PropertyKind,
-    /// The witness depth — minimal, because BMC searches depth by depth.
-    depth: usize,
-    /// Positional, pool-independent form (present whenever encodable;
-    /// always present for disk-recovered facts).
-    encoded: Option<PersistedCex>,
-    /// Live form; filled lazily for recovered facts on first
-    /// successful replay.
-    decoded: Option<Counterexample>,
-}
-
-/// Everything known about one (design, bad-index) obligation, merged
-/// over every run that touched it.
-#[derive(Debug, Clone)]
+/// Everything known about one `(cone, bad)` obligation, merged over
+/// every run that touched it.
+#[derive(Debug, Clone, Default)]
 struct ObligationFact {
-    /// Bad-property name, checked on lookup (hash-collision guard).
-    bad_name: String,
     /// No counterexample exists at any depth `<= clean_to`.
     clean_to: Option<usize>,
-    /// The shallowest known counterexample.
-    bug: Option<BugFact>,
+    /// The shallowest known counterexample, positional against the
+    /// slice's `inputs ++ states` order. Its depth is minimal, because
+    /// BMC searches depth by depth.
+    bug: Option<PersistedCex>,
 }
-
-/// Cone table key: (design hash, sorted bad-index set).
-type ConeKey = (u64, Vec<usize>);
 
 /// Thread-safe, content-hash-keyed artifact cache shared across
 /// verification requests (see the module docs for keying, soundness and
 /// durability).
 #[derive(Debug, Default)]
 pub struct ArtifactStore {
-    /// Cone key → positional cone encoding.
-    cones: Mutex<HashMap<ConeKey, Vec<u32>>>,
-    /// (design hash, bad index) → merged obligation facts.
-    outcomes: Mutex<HashMap<(u64, usize), ObligationFact>>,
-    /// (cone hash, bad name) → merged obligation facts, keyed by the
-    /// obligation's slice content instead of the whole design.
-    /// Counterexamples here are positional against the *slice's*
-    /// `inputs ++ states` order.
+    /// (cone hash, bad name) → merged obligation facts.
     cone_outcomes: Mutex<HashMap<(u64, String), ObligationFact>>,
     /// (cone hash, bad name) → exported learnt-clause core.
     packs: Mutex<HashMap<(u64, String), LearntPack>>,
@@ -143,14 +107,10 @@ pub struct ArtifactStore {
     /// inside [`ArtifactStore::flush`], which takes it first — so map
     /// locks are never held while waiting on it.
     disk: Option<Mutex<DiskJournal>>,
-    outcome_hits: AtomicU64,
-    outcome_misses: AtomicU64,
     cone_hits: AtomicU64,
     cone_misses: AtomicU64,
     packs_served: AtomicU64,
     packs_recorded: AtomicU64,
-    cones_seeded: AtomicU64,
-    cones_absorbed: AtomicU64,
     recovered: AtomicU64,
     truncated: AtomicU64,
     flushes: AtomicU64,
@@ -162,8 +122,8 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// Position of every input and state variable in declaration order —
-/// the `VarId`-independent coordinate system cones and persisted
-/// counterexamples are stored in.
+/// the `VarId`-independent coordinate system persisted counterexamples
+/// are stored in.
 fn var_positions(ts: &TransitionSystem) -> HashMap<VarId, u32> {
     ts.inputs()
         .iter()
@@ -180,32 +140,6 @@ fn position_vars(ts: &TransitionSystem) -> Vec<VarId> {
         .copied()
         .chain(ts.states().iter().map(|s| s.var))
         .collect()
-}
-
-/// Merges "clean to `bound`" into one fact; returns whether it grew.
-fn fact_merge_clean(fact: &mut ObligationFact, bound: usize) -> bool {
-    let grew = fact.clean_to.is_none_or(|k| bound > k);
-    if grew {
-        fact.clean_to = Some(bound);
-    }
-    grew
-}
-
-/// Merges a bug into one fact; returns whether it replaced a deeper
-/// (or absent) witness.
-fn fact_merge_bug(fact: &mut ObligationFact, bug: BugFact) -> bool {
-    // Depth-by-depth search: a cex at depth d proves depths < d clean.
-    if bug.depth > 0 {
-        let below = bug.depth - 1;
-        if fact.clean_to.is_none_or(|k| below > k) {
-            fact.clean_to = Some(below);
-        }
-    }
-    let shallower = fact.bug.as_ref().is_none_or(|old| bug.depth < old.depth);
-    if shallower {
-        fact.bug = Some(bug);
-    }
-    shallower
 }
 
 impl ArtifactStore {
@@ -239,7 +173,7 @@ impl ArtifactStore {
         let (disk, records, stats) = DiskJournal::open(dir.as_ref(), opts)?;
         let mut store = ArtifactStore::default();
         store.disk = Some(Mutex::new(disk));
-        for record in &records {
+        for record in records {
             store.apply_record(record);
         }
         store.recovered.store(stats.recovered, Ordering::Relaxed);
@@ -265,62 +199,22 @@ impl ArtifactStore {
     /// re-journaling). Shared by recovery and nothing else; merging is
     /// idempotent, so a record present in both snapshot and journal is
     /// harmless.
-    fn apply_record(&self, record: &Record) {
+    fn apply_record(&self, record: Record) {
         match record {
             Record::Meta { .. } => {}
-            Record::Clean {
-                design,
-                bad_index,
-                bad_name,
-                bound,
-            } => {
-                self.merge_clean(*design, *bad_index, bad_name, *bound);
-            }
-            Record::Bug {
-                design,
-                bad_index,
-                bad_name,
-                cex,
-            } => {
-                self.merge_bug(
-                    *design,
-                    *bad_index,
-                    bad_name,
-                    BugFact {
-                        property: cex.property,
-                        depth: cex.depth,
-                        encoded: Some(cex.clone()),
-                        decoded: None,
-                    },
-                );
-            }
-            Record::Cone { design, bads, cone } => {
-                lock(&self.cones)
-                    .entry((*design, bads.clone()))
-                    .or_insert_with(|| cone.clone());
-            }
             Record::ConeClean {
                 cone,
                 bad_name,
                 bound,
             } => {
-                self.merge_cone_clean(*cone, bad_name, *bound);
+                self.merge_clean(cone, &bad_name, bound);
             }
             Record::ConeBug {
                 cone,
                 bad_name,
                 cex,
             } => {
-                self.merge_cone_bug(
-                    *cone,
-                    bad_name,
-                    BugFact {
-                        property: cex.property,
-                        depth: cex.depth,
-                        encoded: Some(cex.clone()),
-                        decoded: None,
-                    },
-                );
+                self.merge_bug(cone, &bad_name, cex);
             }
             Record::Learnts {
                 cone,
@@ -329,37 +223,25 @@ impl ArtifactStore {
                 clauses,
             } => {
                 self.merge_pack(
-                    *cone,
-                    bad_name,
+                    cone,
+                    &bad_name,
                     LearntPack {
-                        frame_vars: frame_vars.clone(),
-                        clauses: clauses.clone(),
+                        frame_vars,
+                        clauses,
                     },
                 );
             }
         }
     }
 
-    /// Obligation lookups answered from the store.
-    #[must_use]
-    pub fn outcome_hits(&self) -> u64 {
-        self.outcome_hits.load(Ordering::Relaxed)
-    }
-
-    /// Obligation lookups that had to solve.
-    #[must_use]
-    pub fn outcome_misses(&self) -> u64 {
-        self.outcome_misses.load(Ordering::Relaxed)
-    }
-
-    /// Cone-keyed obligation lookups answered from the store (verdicts
-    /// reused across a design edit).
+    /// Obligation lookups answered from the store (a warm repeat, or a
+    /// cone an edit left untouched).
     #[must_use]
     pub fn cone_hits(&self) -> u64 {
         self.cone_hits.load(Ordering::Relaxed)
     }
 
-    /// Cone-keyed obligation lookups that found nothing reusable.
+    /// Obligation lookups that found nothing reusable.
     #[must_use]
     pub fn cone_misses(&self) -> u64 {
         self.cone_misses.load(Ordering::Relaxed)
@@ -375,18 +257,6 @@ impl ArtifactStore {
     #[must_use]
     pub fn packs_recorded(&self) -> u64 {
         self.packs_recorded.load(Ordering::Relaxed)
-    }
-
-    /// Cones transplanted into per-run caches so far.
-    #[must_use]
-    pub fn cones_seeded(&self) -> u64 {
-        self.cones_seeded.load(Ordering::Relaxed)
-    }
-
-    /// Cones harvested from per-run caches so far.
-    #[must_use]
-    pub fn cones_absorbed(&self) -> u64 {
-        self.cones_absorbed.load(Ordering::Relaxed)
     }
 
     /// Records recovered from disk at open (0 for in-memory stores).
@@ -415,18 +285,6 @@ impl ArtifactStore {
 
     /// Obligation facts currently held.
     #[must_use]
-    pub fn outcome_count(&self) -> usize {
-        lock(&self.outcomes).len()
-    }
-
-    /// COI cones currently held.
-    #[must_use]
-    pub fn cone_count(&self) -> usize {
-        lock(&self.cones).len()
-    }
-
-    /// Cone-keyed obligation facts currently held.
-    #[must_use]
     pub fn cone_outcome_count(&self) -> usize {
         lock(&self.cone_outcomes).len()
     }
@@ -444,18 +302,12 @@ impl ArtifactStore {
     pub fn stats_json(&self) -> Json {
         let mut fields = vec![
             ("persistent", Json::Bool(self.is_persistent())),
-            ("outcomes", Json::num(self.outcome_count() as u64)),
-            ("cones", Json::num(self.cone_count() as u64)),
             ("cone_outcomes", Json::num(self.cone_outcome_count() as u64)),
             ("learnt_packs", Json::num(self.pack_count() as u64)),
-            ("outcome_hits", Json::num(self.outcome_hits())),
-            ("outcome_misses", Json::num(self.outcome_misses())),
             ("cone_hits", Json::num(self.cone_hits())),
             ("cone_misses", Json::num(self.cone_misses())),
             ("packs_served", Json::num(self.packs_served())),
             ("packs_recorded", Json::num(self.packs_recorded())),
-            ("cones_seeded", Json::num(self.cones_seeded())),
-            ("cones_absorbed", Json::num(self.cones_absorbed())),
             ("recovered", Json::num(self.recovered_records())),
             ("truncated", Json::num(self.truncated_records())),
             ("flushes", Json::num(self.flushes())),
@@ -509,31 +361,6 @@ impl ArtifactStore {
     /// Serializes the full live state as records, for compaction.
     fn snapshot_records(&self) -> Vec<Record> {
         let mut records = Vec::new();
-        for (&(design, bad_index), fact) in lock(&self.outcomes).iter() {
-            if let Some(bound) = fact.clean_to {
-                records.push(Record::Clean {
-                    design,
-                    bad_index,
-                    bad_name: fact.bad_name.clone(),
-                    bound,
-                });
-            }
-            if let Some(cex) = fact.bug.as_ref().and_then(|b| b.encoded.clone()) {
-                records.push(Record::Bug {
-                    design,
-                    bad_index,
-                    bad_name: fact.bad_name.clone(),
-                    cex,
-                });
-            }
-        }
-        for ((design, bads), cone) in lock(&self.cones).iter() {
-            records.push(Record::Cone {
-                design: *design,
-                bads: bads.clone(),
-                cone: cone.clone(),
-            });
-        }
         for ((cone, bad_name), fact) in lock(&self.cone_outcomes).iter() {
             if let Some(bound) = fact.clean_to {
                 records.push(Record::ConeClean {
@@ -542,11 +369,11 @@ impl ArtifactStore {
                     bound,
                 });
             }
-            if let Some(cex) = fact.bug.as_ref().and_then(|b| b.encoded.clone()) {
+            if let Some(cex) = &fact.bug {
                 records.push(Record::ConeBug {
                     cone: *cone,
                     bad_name: bad_name.clone(),
-                    cex,
+                    cex: cex.clone(),
                 });
             }
         }
@@ -572,228 +399,34 @@ impl ArtifactStore {
         }
     }
 
-    /// Transplants every stored cone for `design` into a fresh per-run
-    /// [`CoiCache`], translating positions back to the run's `VarId`s.
-    /// Returns how many cones were seeded.
-    pub fn seed_coi_cache(&self, design: u64, ts: &TransitionSystem, cache: &CoiCache) -> usize {
-        let vars = position_vars(ts);
-        let mut seeded = 0usize;
-        for ((_, bads), positions) in lock(&self.cones).iter().filter(|((d, _), _)| *d == design) {
-            let cone: Option<HashSet<VarId>> = positions
-                .iter()
-                .map(|&p| vars.get(p as usize).copied())
-                .collect();
-            // An out-of-range position means the entry does not belong
-            // to this system (hash collision); skip it.
-            let Some(cone) = cone else { continue };
-            cache.seed_cone(bads, cone);
-            seeded += 1;
-        }
-        if seeded > 0 {
-            self.cones_seeded
-                .fetch_add(seeded as u64, Ordering::Relaxed);
-            if aqed_obs::enabled() {
-                metrics::global()
-                    .counter("artifact.cone.seeded")
-                    .add(seeded as u64);
-            }
-        }
-        seeded
-    }
-
-    /// Harvests every cone a finished run memoized into the store,
-    /// encoded positionally. Returns how many entries were new.
-    pub fn absorb_cones(&self, design: u64, ts: &TransitionSystem, cache: &CoiCache) -> usize {
-        let positions = var_positions(ts);
-        let mut fresh: Vec<Record> = Vec::new();
-        {
-            let mut cones = lock(&self.cones);
-            for (bads, cone) in cache.cones() {
-                cones.entry((design, bads)).or_insert_with_key(|(_, bads)| {
-                    let mut enc: Vec<u32> = cone
-                        .iter()
-                        // Cone sets may mention vars that are neither inputs
-                        // nor states; slicing only ever tests membership of
-                        // input/state vars, so dropping the rest is safe.
-                        .filter_map(|v| positions.get(v).copied())
-                        .collect();
-                    enc.sort_unstable();
-                    fresh.push(Record::Cone {
-                        design,
-                        bads: bads.clone(),
-                        cone: enc.clone(),
-                    });
-                    enc
-                });
-            }
-        }
-        let added = fresh.len();
-        self.journal(fresh);
-        if added > 0 {
-            self.cones_absorbed
-                .fetch_add(added as u64, Ordering::Relaxed);
-            if aqed_obs::enabled() {
-                metrics::global()
-                    .counter("artifact.cone.absorbed")
-                    .add(added as u64);
-            }
-        }
-        added
-    }
-
-    /// Answers one obligation from the store if a definitive fact
-    /// covers the requested bound, else `None`. A served bug has been
-    /// replayed against `ts`/`pool`; a served clean relies on the
-    /// content hash plus the bad-name check.
-    #[must_use]
-    pub fn lookup_outcome(
-        &self,
-        design: u64,
-        bad_index: usize,
-        bad_name: &str,
-        bound: usize,
-        ts: &TransitionSystem,
-        pool: &ExprPool,
-    ) -> Option<CheckOutcome> {
-        let served = self.try_serve(design, bad_index, bad_name, bound, ts, pool);
-        if aqed_obs::enabled() {
-            let name = if served.is_some() {
-                "artifact.outcome.hits"
-            } else {
-                "artifact.outcome.misses"
-            };
-            metrics::global().counter(name).inc();
-        }
-        match &served {
-            Some(_) => self.outcome_hits.fetch_add(1, Ordering::Relaxed),
-            None => self.outcome_misses.fetch_add(1, Ordering::Relaxed),
-        };
-        served
-    }
-
-    fn try_serve(
-        &self,
-        design: u64,
-        bad_index: usize,
-        bad_name: &str,
-        bound: usize,
-        ts: &TransitionSystem,
-        pool: &ExprPool,
-    ) -> Option<CheckOutcome> {
-        let key = (design, bad_index);
-        let fact = lock(&self.outcomes).get(&key).cloned()?;
-        if fact.bad_name != bad_name {
-            return None;
-        }
-        if let Some(bug) = &fact.bug {
-            if bug.depth > bound {
-                // The known bug is deeper than this request's horizon,
-                // and BMC found nothing shallower — the request's
-                // answer is clean at its own bound.
-                return Some(CheckOutcome::Clean { bound });
-            }
-            // Serve the live witness if present, else decode the
-            // positional one against this run's system. Either way
-            // simulator replay validates before anything is served.
-            let decoded = match &bug.decoded {
-                Some(cex) => Some(cex.clone()),
-                None => bug
-                    .encoded
-                    .as_ref()
-                    .and_then(|enc| enc.decode(&fact.bad_name, bad_index, &position_vars(ts))),
-            };
-            if let Some(cex) = decoded {
-                if cex.replay(ts, pool) {
-                    if bug.decoded.is_none() {
-                        // Promote the freshly validated decode so later
-                        // lookups skip decode + replay bookkeeping.
-                        if let Some(f) = lock(&self.outcomes).get_mut(&key) {
-                            if let Some(b) = &mut f.bug {
-                                if b.depth == bug.depth && b.decoded.is_none() {
-                                    b.decoded = Some(cex.clone());
-                                }
-                            }
-                        }
-                    }
-                    return Some(CheckOutcome::Bug {
-                        property: bug.property,
-                        counterexample: cex,
-                    });
-                }
-            }
-            // The witness does not decode/replay on this run's system:
-            // the entry is stale or collided. Drop it so it cannot keep
-            // degrading every lookup.
-            lock(&self.outcomes).remove(&key);
-            return None;
-        }
-        match fact.clean_to {
-            Some(k) if k >= bound => Some(CheckOutcome::Clean { bound }),
-            _ => None,
-        }
-    }
-
     /// Merges "clean to `bound`" into the fact table. Returns whether
     /// the fact grew (i.e. is worth journaling).
-    fn merge_clean(&self, design: u64, bad_index: usize, bad_name: &str, bound: usize) -> bool {
-        let mut outcomes = lock(&self.outcomes);
-        let fact = outcomes
-            .entry((design, bad_index))
-            .or_insert_with(|| ObligationFact {
-                bad_name: bad_name.to_string(),
-                clean_to: None,
-                bug: None,
-            });
-        if fact.bad_name != bad_name {
-            // Collision between two designs with the same hash but
-            // different monitors; keep the first owner.
-            return false;
+    fn merge_clean(&self, cone: u64, bad_name: &str, bound: usize) -> bool {
+        let mut outcomes = lock(&self.cone_outcomes);
+        let fact = outcomes.entry((cone, bad_name.to_string())).or_default();
+        let grew = fact.clean_to.is_none_or(|k| bound > k);
+        if grew {
+            fact.clean_to = Some(bound);
         }
-        fact_merge_clean(fact, bound)
+        grew
     }
 
     /// Merges a bug fact (new or recovered). Returns whether it
     /// replaced a deeper (or absent) witness.
-    fn merge_bug(&self, design: u64, bad_index: usize, bad_name: &str, bug: BugFact) -> bool {
-        let mut outcomes = lock(&self.outcomes);
-        let fact = outcomes
-            .entry((design, bad_index))
-            .or_insert_with(|| ObligationFact {
-                bad_name: bad_name.to_string(),
-                clean_to: None,
-                bug: None,
-            });
-        if fact.bad_name != bad_name {
-            return false;
+    fn merge_bug(&self, cone: u64, bad_name: &str, bug: PersistedCex) -> bool {
+        let mut outcomes = lock(&self.cone_outcomes);
+        let fact = outcomes.entry((cone, bad_name.to_string())).or_default();
+        // Depth-by-depth search: a cex at depth d proves depths < d clean.
+        if let Some(below) = bug.depth.checked_sub(1) {
+            if fact.clean_to.is_none_or(|k| below > k) {
+                fact.clean_to = Some(below);
+            }
         }
-        fact_merge_bug(fact, bug)
-    }
-
-    /// [`ArtifactStore::merge_clean`] for the cone-keyed table (the
-    /// bad name is part of the key, so no collision guard is needed).
-    fn merge_cone_clean(&self, cone: u64, bad_name: &str, bound: usize) -> bool {
-        let mut outcomes = lock(&self.cone_outcomes);
-        let fact = outcomes
-            .entry((cone, bad_name.to_string()))
-            .or_insert_with(|| ObligationFact {
-                bad_name: bad_name.to_string(),
-                clean_to: None,
-                bug: None,
-            });
-        fact_merge_clean(fact, bound)
-    }
-
-    /// [`ArtifactStore::merge_bug`] for the cone-keyed table.
-    fn merge_cone_bug(&self, cone: u64, bad_name: &str, bug: BugFact) -> bool {
-        let mut outcomes = lock(&self.cone_outcomes);
-        let fact = outcomes
-            .entry((cone, bad_name.to_string()))
-            .or_insert_with(|| ObligationFact {
-                bad_name: bad_name.to_string(),
-                clean_to: None,
-                bug: None,
-            });
-        fact_merge_bug(fact, bug)
+        let shallower = fact.bug.as_ref().is_none_or(|old| bug.depth < old.depth);
+        if shallower {
+            fact.bug = Some(bug);
+        }
+        shallower
     }
 
     /// Merges a learnt-clause pack. A pack with more frames replaces a
@@ -821,64 +454,13 @@ impl ArtifactStore {
         }
     }
 
-    /// Merges one freshly computed obligation outcome into the store
-    /// (and, for persistent stores, the journal). `ts` is the composed
-    /// system the outcome was computed against, used to encode
-    /// counterexamples positionally for disk. Non-definitive outcomes
-    /// (`Inconclusive`, `Errored`) are ignored: they describe the
-    /// budget, not the design.
-    pub fn record_outcome(
-        &self,
-        design: u64,
-        bad_index: usize,
-        bad_name: &str,
-        outcome: &CheckOutcome,
-        ts: &TransitionSystem,
-    ) {
-        match outcome {
-            CheckOutcome::Clean { bound } => {
-                if self.merge_clean(design, bad_index, bad_name, *bound) {
-                    self.journal([Record::Clean {
-                        design,
-                        bad_index,
-                        bad_name: bad_name.to_string(),
-                        bound: *bound,
-                    }]);
-                }
-            }
-            CheckOutcome::Bug {
-                property,
-                counterexample,
-            } => {
-                let encoded = PersistedCex::encode(*property, counterexample, &var_positions(ts));
-                let bug = BugFact {
-                    property: *property,
-                    depth: counterexample.depth,
-                    encoded: encoded.clone(),
-                    decoded: Some(counterexample.clone()),
-                };
-                if self.merge_bug(design, bad_index, bad_name, bug) {
-                    if let Some(cex) = encoded {
-                        self.journal([Record::Bug {
-                            design,
-                            bad_index,
-                            bad_name: bad_name.to_string(),
-                            cex,
-                        }]);
-                    }
-                }
-            }
-            CheckOutcome::Inconclusive { .. } | CheckOutcome::Errored { .. } => {}
-        }
-    }
-
-    /// Answers one obligation from the cone-keyed table if a definitive
-    /// fact for its slice covers the requested bound, else `None`.
-    /// `slice` is the obligation's COI slice of `ts` (the system being
-    /// verified *now*); a served bug is decoded against the slice,
-    /// widened to the full system exactly as BMC widens its own sliced
-    /// witnesses, and **replayed against `ts`** before being served —
-    /// the soundness gate that turns any stale or collided entry into a
+    /// Answers one obligation from the store if a definitive fact for
+    /// its slice covers the requested bound, else `None`. `slice` is
+    /// the obligation's COI slice of `ts` (the system being verified
+    /// *now*); a served bug is decoded against the slice, widened to
+    /// the full system exactly as BMC widens its own sliced witnesses,
+    /// and **replayed against `ts`** before being served — the
+    /// soundness gate that turns any stale or collided entry into a
     /// miss.
     #[must_use]
     #[allow(clippy::too_many_arguments)]
@@ -927,11 +509,7 @@ impl ArtifactStore {
                 // shallower exists: clean at the requested bound.
                 return Some(CheckOutcome::Clean { bound });
             }
-            let decoded = bug
-                .encoded
-                .as_ref()
-                .and_then(|enc| enc.decode(bad_name, bad_index, &position_vars(&slice.system)));
-            if let Some(mut cex) = decoded {
+            if let Some(mut cex) = bug.decode(bad_name, bad_index, &position_vars(&slice.system)) {
                 // Widen the slice-local witness to the full system the
                 // same way BMC widens its own sliced counterexamples:
                 // zero values for sliced-away inputs and uninitialised
@@ -967,9 +545,9 @@ impl ArtifactStore {
         }
     }
 
-    /// The deepest bound known clean for a cone-keyed obligation — the
-    /// warm-start frame-skipping hint when the fact does not cover the
-    /// whole requested bound. The caller may skip solving frames
+    /// The deepest bound known clean for an obligation — the warm-start
+    /// frame-skipping hint when the fact does not cover the whole
+    /// requested bound. The caller may skip solving frames
     /// `0..=prefix` over the identical slice: slice-content identity
     /// implies the frame CNFs are identical, so those queries were
     /// already proven UNSAT.
@@ -980,12 +558,14 @@ impl ArtifactStore {
             .and_then(|f| f.clean_to)
     }
 
-    /// Merges one freshly computed obligation outcome into the
-    /// cone-keyed table (and journal). `slice` is the COI slice the
-    /// obligation was solved over; the counterexample (computed against
-    /// the full system) is restricted to the slice's variables before
-    /// positional encoding — the dropped assignments are the zero
-    /// padding BMC added outside the cone, which decode re-creates.
+    /// Merges one freshly computed obligation outcome into the store
+    /// (and, for persistent stores, the journal). Non-definitive
+    /// outcomes (`Inconclusive`, `Errored`) are ignored: they describe
+    /// the budget, not the design. `slice` is the obligation's COI
+    /// slice; the counterexample (computed against the full system) is
+    /// restricted to the slice's variables before positional encoding —
+    /// the dropped assignments lie outside the cone, and lookup
+    /// re-creates them as zero padding.
     pub fn record_cone_outcome(
         &self,
         cone: u64,
@@ -995,7 +575,7 @@ impl ArtifactStore {
     ) {
         match outcome {
             CheckOutcome::Clean { bound } => {
-                if self.merge_cone_clean(cone, bad_name, *bound) {
+                if self.merge_clean(cone, bad_name, *bound) {
                     self.journal([Record::ConeClean {
                         cone,
                         bad_name: bad_name.to_string(),
@@ -1035,13 +615,7 @@ impl ArtifactStore {
                 let Some(encoded) = PersistedCex::encode(*property, &restricted, &positions) else {
                     return;
                 };
-                let bug = BugFact {
-                    property: *property,
-                    depth: counterexample.depth,
-                    encoded: Some(encoded.clone()),
-                    decoded: None,
-                };
-                if self.merge_cone_bug(cone, bad_name, bug) {
+                if self.merge_bug(cone, bad_name, encoded.clone()) {
                     self.journal([Record::ConeBug {
                         cone,
                         bad_name: bad_name.to_string(),
@@ -1103,6 +677,7 @@ impl Drop for ArtifactStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::verify::PropertyKind;
     use aqed_sat::StopReason;
 
     fn toy_system(pool: &mut ExprPool, bug_at: u64) -> TransitionSystem {
@@ -1134,82 +709,60 @@ mod tests {
     fn clean_facts_cover_smaller_bounds_only() {
         let mut p = ExprPool::new();
         let ts = toy_system(&mut p, 9);
-        let h = design_hash(&ts, &p);
+        let slice = aqed_tsys::coi_slice(&ts, &p, &[0]);
+        let h = cone_hash(&slice, &p);
         let store = ArtifactStore::new();
         let name = "counter_hits_target";
-        assert!(store.lookup_outcome(h, 0, name, 4, &ts, &p).is_none());
-        store.record_outcome(h, 0, name, &CheckOutcome::Clean { bound: 6 }, &ts);
+        assert!(store
+            .lookup_cone_outcome(h, 0, name, 4, &slice, &ts, &p)
+            .is_none());
+        store.record_cone_outcome(h, name, &CheckOutcome::Clean { bound: 6 }, &slice);
         // Covered bound: served, re-bounded to the request.
         assert!(matches!(
-            store.lookup_outcome(h, 0, name, 4, &ts, &p),
+            store.lookup_cone_outcome(h, 0, name, 4, &slice, &ts, &p),
             Some(CheckOutcome::Clean { bound: 4 })
         ));
         // Deeper than anything known: miss.
-        assert!(store.lookup_outcome(h, 0, name, 8, &ts, &p).is_none());
+        assert!(store
+            .lookup_cone_outcome(h, 0, name, 8, &slice, &ts, &p)
+            .is_none());
         // Wrong bad name (collision guard): miss.
-        assert!(store.lookup_outcome(h, 0, "other", 4, &ts, &p).is_none());
-        assert_eq!(store.outcome_hits(), 1);
-        assert_eq!(store.outcome_misses(), 3);
+        assert!(store
+            .lookup_cone_outcome(h, 0, "other", 4, &slice, &ts, &p)
+            .is_none());
+        assert_eq!(store.cone_hits(), 1);
+        assert_eq!(store.cone_misses(), 3);
     }
 
     #[test]
     fn budget_limited_outcomes_are_never_recorded() {
         let mut p = ExprPool::new();
         let ts = toy_system(&mut p, 9);
-        let h = design_hash(&ts, &p);
+        let slice = aqed_tsys::coi_slice(&ts, &p, &[0]);
+        let h = cone_hash(&slice, &p);
         let store = ArtifactStore::new();
-        store.record_outcome(
+        let name = "counter_hits_target";
+        store.record_cone_outcome(
             h,
-            0,
-            "counter_hits_target",
+            name,
             &CheckOutcome::Inconclusive {
                 bound: 3,
                 reason: StopReason::Conflicts,
             },
-            &ts,
+            &slice,
         );
-        store.record_outcome(
+        store.record_cone_outcome(
             h,
-            0,
-            "counter_hits_target",
+            name,
             &CheckOutcome::Errored {
                 message: "worker panicked".into(),
             },
-            &ts,
+            &slice,
         );
         assert!(store
-            .lookup_outcome(h, 0, "counter_hits_target", 1, &ts, &p)
+            .lookup_cone_outcome(h, 0, name, 1, &slice, &ts, &p)
             .is_none());
-    }
-
-    #[test]
-    fn cones_round_trip_through_positional_encoding() {
-        let mut p = ExprPool::new();
-        let ts = toy_system(&mut p, 5);
-        let h = design_hash(&ts, &p);
-        let store = ArtifactStore::new();
-        // Run one cached slice, donate its cone...
-        let donor = CoiCache::new();
-        let _ = aqed_tsys::coi_slice_cached(&ts, &p, &[0], Some(&donor));
-        assert_eq!(store.absorb_cones(h, &ts, &donor), 1);
-        // Absorbing the same cones again adds nothing.
-        assert_eq!(store.absorb_cones(h, &ts, &donor), 0);
-        // ...and a "second request" (fresh pool, same construction)
-        // gets it back as a pure memo hit with an identical slice.
-        let mut p2 = ExprPool::new();
-        let ts2 = toy_system(&mut p2, 5);
-        assert_eq!(design_hash(&ts2, &p2), h);
-        let warm = CoiCache::new();
-        assert_eq!(store.seed_coi_cache(h, &ts2, &warm), 1);
-        let cold = aqed_tsys::coi_slice(&ts2, &p2, &[0]);
-        let cached = aqed_tsys::coi_slice_cached(&ts2, &p2, &[0], Some(&warm));
-        assert_eq!(warm.hits(), 1);
-        assert_eq!(warm.misses(), 0);
-        assert_eq!(cold.system.inputs(), cached.system.inputs());
-        assert_eq!(cold.latches_kept, cached.latches_kept);
-        // A different design's hash sees nothing.
-        let other = CoiCache::new();
-        assert_eq!(store.seed_coi_cache(h ^ 1, &ts2, &other), 0);
+        assert_eq!(store.cone_outcome_count(), 0);
     }
 
     /// The toy counter plus an independent "noise" counter that no bad

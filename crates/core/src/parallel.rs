@@ -45,7 +45,7 @@
 //!   concrete simulator before being reported; a mismatch becomes a loud
 //!   `UnsoundWitness` error, never a silently trusted bug report.
 
-use crate::artifact::{cone_hash, design_hash, ArtifactStore};
+use crate::artifact::{cone_hash, ArtifactStore};
 use crate::verify::{validated_bug, CheckOutcome, PropertyKind};
 use aqed_bmc::{
     ArmedBudget, Bmc, BmcOptions, BmcResult, BmcStats, Counterexample, LearntPack, StopReason,
@@ -102,15 +102,14 @@ pub struct ScheduleOptions {
     /// a job running longer has its private stop handle tripped and
     /// reports `Inconclusive {reason: Cancelled}`.
     pub obligation_timeout: Option<Duration>,
-    /// Warm-start incremental re-verification (default on; inert
-    /// without an artifact store or with COI slicing disabled). Each
-    /// obligation derives a *cone key* — the content hash of its COI
-    /// slice — and (a) reuses a stored definitive verdict under that
-    /// key verbatim (bugs replay-validated against the current design
-    /// first), (b) skips re-solving frames a stored clean fact already
-    /// covers, and (c) injects the stored learnt-clause pack before the
-    /// first unsolved frame. Verdicts are identical with and without
-    /// warm-start; see `ArtifactStore` for the soundness gates.
+    /// Warm-start solving hints (default on; inert without an artifact
+    /// store or with COI slicing disabled). An obligation the store
+    /// cannot answer outright skips re-solving the frames a stored
+    /// clean fact for its cone key already covers, injects the stored
+    /// learnt-clause pack before the first unsolved frame, and donates
+    /// its own pack. Store verdict lookups and donations never depend
+    /// on this switch. Verdicts are identical with and without it; see
+    /// `ArtifactStore` for the soundness argument.
     pub warm_start: bool,
 }
 
@@ -156,7 +155,7 @@ impl ScheduleOptions {
         self
     }
 
-    /// Returns the options with warm-start reuse enabled or disabled.
+    /// Returns the options with warm-start hints enabled or disabled.
     #[must_use]
     pub fn with_warm_start(mut self, warm_start: bool) -> Self {
         self.warm_start = warm_start;
@@ -169,10 +168,11 @@ impl ScheduleOptions {
 /// [`ScheduleOptions`].
 #[derive(Debug, Clone, Default)]
 pub struct RunContext {
-    /// Cross-request artifact cache. When set, the run seeds its
-    /// per-run COI cache from the store, answers obligations with
-    /// definitive cached verdicts without solving, and donates new
-    /// cones and verdicts back afterwards.
+    /// Cross-request artifact cache. When set, every obligation derives
+    /// its cone key, is answered without solving when the store holds a
+    /// definitive verdict for that key, and otherwise donates its fresh
+    /// verdict back (plus warm-start hints per
+    /// [`ScheduleOptions::warm_start`]).
     pub artifacts: Option<Arc<ArtifactStore>>,
     /// External cancellation: the run's budget is armed with a child of
     /// this handle, so tripping it (Ctrl-C, a client cancel request)
@@ -387,18 +387,19 @@ pub fn verify_obligations_scheduled<B: SatBackend + Default>(
 }
 
 /// [`verify_obligations_scheduled`] plus cross-request context: an
-/// optional [`ArtifactStore`] (cone reuse + definitive-verdict cache)
-/// and an optional external [`StopHandle`] for cancellation from
-/// outside the run (signal handlers, a server's per-job cancel).
+/// optional [`ArtifactStore`] (definitive-verdict cache and warm-start
+/// hints) and an optional external [`StopHandle`] for cancellation
+/// from outside the run (signal handlers, a server's per-job cancel).
 ///
-/// With a store, the run computes the composed system's content hash
-/// once, seeds its per-run COI cache from the store, serves obligations
-/// whose definitive verdict (clean to a covering bound, or a replaying
-/// counterexample within bound) is already known — marked `cache_hit`
-/// in their reports — and donates new cones and verdicts back when the
-/// run completes. Verdicts are identical with and without the store; a
-/// stale or colliding entry degrades to a miss via witness replay,
-/// never to a wrong verdict.
+/// With a store, each obligation slices the composed system to its cone
+/// of influence and hashes the slice ([`cone_hash`]). An obligation
+/// whose definitive verdict under that key (clean to a covering bound,
+/// or a replaying counterexample within bound) is already known is
+/// served without solving — marked `cache_hit` in its report — and
+/// every other obligation donates its fresh verdict. Verdicts are
+/// identical with and without the store; a stale or colliding entry
+/// behind a bug degrades to a miss via witness replay, never to a wrong
+/// verdict.
 ///
 /// # Panics
 ///
@@ -447,20 +448,9 @@ pub fn verify_obligations_governed<B: SatBackend + Default>(
     }
     // One COI cache per run: every obligation slices the same composed
     // system, and the expensive half of the fixpoint (the per-state
-    // support index) is identical across all of them. With an artifact
-    // store, cones memoized by earlier runs of the same design are
-    // transplanted in before any obligation runs.
+    // support index) is identical across all of them.
     let coi_cache = Arc::new(CoiCache::new());
-    let store: Option<(&ArtifactStore, u64)> = ctx
-        .artifacts
-        .as_deref()
-        .map(|s| (s, design_hash(composed, pool)));
-    if let Some((s, h)) = store {
-        let seeded = s.seed_coi_cache(h, composed, &coi_cache);
-        if run_span.is_active() {
-            run_span.record("cones_seeded", seeded as u64);
-        }
-    }
+    let store = ctx.artifacts.as_deref();
     let armed = match &ctx.stop {
         Some(stop) => ArmedBudget::arm_with(&options.budget, stop.child()),
         None => ArmedBudget::arm(&options.budget),
@@ -540,11 +530,6 @@ pub fn verify_obligations_governed<B: SatBackend + Default>(
         .iter()
         .any(|r| matches!(r.outcome, CheckOutcome::Errored { .. }));
     let cache_hits = reports.iter().filter(|r| r.cache_hit).count() as u64;
-    // Donate this run's freshly computed cones to the store so later
-    // requests on the same design skip the support fixpoint entirely.
-    if let Some((s, h)) = store {
-        s.absorb_cones(h, composed, &coi_cache);
-    }
     if run_span.is_active() {
         run_span.record("outcome", outcome_code(&outcome));
         run_span.record("degraded", degraded);
@@ -583,7 +568,7 @@ fn worker_loop<B: SatBackend + Default>(
     active: &ActiveJobs,
     results: &Mutex<Vec<(usize, ObligationReport)>>,
     coi_cache: &Arc<CoiCache>,
-    store: Option<(&ArtifactStore, u64)>,
+    store: Option<&ArtifactStore>,
     meter: Option<&aqed_obs::JobMeter>,
 ) {
     loop {
@@ -608,51 +593,18 @@ fn worker_loop<B: SatBackend + Default>(
                 wall: Duration::ZERO,
                 cache_hit: false,
             }
-        } else if let Some(cached) = store.and_then(|(s, h)| {
-            s.lookup_outcome(
-                h,
-                ob.bad_index,
-                &ob.bad_name,
-                options.max_bound,
-                composed,
-                pool,
-            )
-        }) {
-            // A definitive verdict for this (design, bad, bound) is
-            // already known; serve it without touching a solver.
-            obs_event!(
-                "obligation.cached",
-                index = ob.bad_index as u64,
-                outcome = outcome_code(&cached)
-            );
-            ObligationReport {
-                obligation: ob.clone(),
-                outcome: cached,
-                stats: BmcStats::default(),
-                attempts: 0,
-                wall: Duration::ZERO,
-                cache_hit: true,
-            }
         } else {
-            // Warm-start: derive the obligation's cone key (content
-            // hash of its COI slice). Facts keyed by the cone survive
-            // design edits that leave the cone untouched, which the
-            // whole-design key above cannot see past. The slice
-            // fixpoint is memoized in the shared per-run cache, so this
-            // costs one slice build + BTOR2 print per obligation.
-            let warm_info: Option<(&ArtifactStore, u64, CoiSlice)> = if sched.warm_start
-                && options.coi
-            {
-                store.map(|(s, _)| {
-                    let slice =
-                        coi_slice_cached(composed, pool, &[ob.bad_index], Some(coi_cache.as_ref()));
-                    let cone = cone_hash(&slice, pool);
-                    (s, cone, slice)
-                })
-            } else {
-                None
-            };
-            let reused = warm_info.as_ref().and_then(|(s, cone, slice)| {
+            // The obligation's store key: the content hash of its COI
+            // slice. The slice fixpoint is memoized in the shared
+            // per-run cache, so this costs one slice build + BTOR2
+            // print per obligation.
+            let keyed: Option<(&ArtifactStore, u64, CoiSlice)> = store.map(|s| {
+                let slice =
+                    coi_slice_cached(composed, pool, &[ob.bad_index], Some(coi_cache.as_ref()));
+                let cone = cone_hash(&slice, pool);
+                (s, cone, slice)
+            });
+            let cached = keyed.as_ref().and_then(|(s, cone, slice)| {
                 s.lookup_cone_outcome(
                     *cone,
                     ob.bad_index,
@@ -663,16 +615,12 @@ fn worker_loop<B: SatBackend + Default>(
                     pool,
                 )
             });
-            if let Some(outcome) = reused {
-                // A cone-keyed verdict applies verbatim (bugs were just
-                // replayed against *this* design). Re-file it under the
-                // current design hash so the next identical request
-                // hits the cheaper whole-design path.
-                if let Some((s, h)) = store {
-                    s.record_outcome(h, ob.bad_index, &ob.bad_name, &outcome, composed);
-                }
+            if let Some(outcome) = cached {
+                // A definitive verdict for this slice is already known
+                // (bugs were just replayed against *this* design); serve
+                // it without touching a solver.
                 obs_event!(
-                    "obligation.reused",
+                    "obligation.cached",
                     index = ob.bad_index as u64,
                     outcome = outcome_code(&outcome)
                 );
@@ -689,10 +637,16 @@ fn worker_loop<B: SatBackend + Default>(
                     cache_hit: true,
                 }
             } else {
-                let warm = warm_info.as_ref().map(|(s, cone, _)| WarmStart {
-                    skip_to: s.cone_clean_prefix(*cone, &ob.bad_name),
-                    pack: s.lookup_learnt_pack(*cone, &ob.bad_name),
-                });
+                // Frame skipping and learnt packs assume BMC solves
+                // exactly the slice the key names, so they need COI on.
+                let hints = sched.warm_start && options.coi;
+                let warm = keyed
+                    .as_ref()
+                    .filter(|_| hints)
+                    .map(|(s, cone, _)| WarmStart {
+                        skip_to: s.cone_clean_prefix(*cone, &ob.bad_name),
+                        pack: s.lookup_learnt_pack(*cone, &ob.bad_name),
+                    });
                 let job = armed.child();
                 let started = Instant::now();
                 lock_unpoisoned(active).insert(idx, (started, job.stop_handle().clone()));
@@ -733,16 +687,12 @@ fn worker_loop<B: SatBackend + Default>(
                     }
                 };
                 // Donate a freshly computed definitive verdict (the store
-                // ignores budget-limited outcomes) so repeat requests on
-                // this design skip the solve.
-                if let Some((s, h)) = store {
-                    s.record_outcome(h, ob.bad_index, &ob.bad_name, &report.outcome, composed);
-                }
-                // Donate the cone-keyed fact and the exported learnt
-                // pack, so the *next* edit outside this cone reuses both.
-                if let Some((s, cone, slice)) = &warm_info {
+                // ignores budget-limited outcomes) and the exported
+                // learnt pack, so repeat requests and later edits outside
+                // this cone skip the solve.
+                if let Some((s, cone, slice)) = &keyed {
                     s.record_cone_outcome(*cone, &ob.bad_name, &report.outcome, slice);
-                    if let Some(pack) = export {
+                    if let Some(pack) = export.filter(|_| hints) {
                         s.record_learnt_pack(*cone, &ob.bad_name, pack);
                     }
                 }

@@ -6,8 +6,8 @@
 //! A store directory holds at most three files:
 //!
 //! * `journal.aqed` — append-only record log. Every store mutation
-//!   (definitive verdict, new COI cone) becomes one record appended
-//!   here; a crash loses only records not yet flushed.
+//!   (definitive verdict, new learnt-clause pack) becomes one record
+//!   appended here; a crash loses only records not yet flushed.
 //! * `snapshot.aqed` — the store state as of the last compaction, in
 //!   the same record format. Loading replays the snapshot first, then
 //!   the journal on top (replay is idempotent, so records present in
@@ -28,7 +28,7 @@
 //! the last good byte so subsequent appends never interleave with
 //! garbage. Corruption therefore degrades to a partial cache — never a
 //! wrong verdict (verdict soundness is re-established at serve time by
-//! the hash/name guards and counterexample replay) and never a crash.
+//! the key match and counterexample replay) and never a crash.
 //!
 //! # Compaction
 //!
@@ -53,10 +53,16 @@
 //! hints gated by cone-content identity plus frame fingerprints; losing
 //! one costs a cold solve, never a verdict.
 //!
-//! Readers older than a record kind stop recovering at its first
-//! occurrence (unknown `"k"` values are damage by construction). That
-//! trades mixed-version sharing of one store directory — which nothing
-//! supports anyway — for a format without version sniffing.
+//! # Format versions
+//!
+//! Each file starts with a `meta` record carrying the format version.
+//! Recovery stops at a `meta` record whose version differs from this
+//! build's, older or newer, exactly as at damage: a store written by
+//! another format version opens as an empty store (its journal is
+//! truncated and restarted), never fails to open, and never has one of
+//! its records served. Version 2 keys every verdict by cone hash;
+//! version 1 also held whole-design verdicts and COI cones. Unknown
+//! `"k"` values are damage by construction.
 
 use crate::verify::PropertyKind;
 use aqed_bitvec::Bv;
@@ -74,7 +80,7 @@ pub const JOURNAL_FILE: &str = "journal.aqed";
 /// The last compacted snapshot inside a store directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.aqed";
 const SNAPSHOT_TMP: &str = "snapshot.aqed.tmp";
-const FORMAT_VERSION: u64 = 1;
+const FORMAT_VERSION: u64 = 2;
 
 /// Tuning knobs for a persistent store.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -274,28 +280,8 @@ impl PersistedCex {
 /// One durable store mutation.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Record {
-    /// Format marker; `v` newer than this build ends parsing.
+    /// Format marker; a `v` other than this build's ends parsing.
     Meta { version: u64 },
-    /// `(design, bad)` proven clean to `bound`.
-    Clean {
-        design: u64,
-        bad_index: usize,
-        bad_name: String,
-        bound: usize,
-    },
-    /// A validated counterexample for `(design, bad)`.
-    Bug {
-        design: u64,
-        bad_index: usize,
-        bad_name: String,
-        cex: PersistedCex,
-    },
-    /// A COI cone for `(design, bad-set)`, positionally encoded.
-    Cone {
-        design: u64,
-        bads: Vec<usize>,
-        cone: Vec<u32>,
-    },
     /// `(cone, bad)` proven clean to `bound` — keyed by the content
     /// hash of the obligation's COI *slice*, not the whole design, so
     /// the fact survives edits outside the cone.
@@ -331,45 +317,6 @@ impl Record {
             Record::Meta { version } => Json::obj(vec![
                 ("k", Json::Str("meta".into())),
                 ("v", Json::num(*version)),
-            ]),
-            Record::Clean {
-                design,
-                bad_index,
-                bad_name,
-                bound,
-            } => Json::obj(vec![
-                ("k", Json::Str("clean".into())),
-                ("d", Json::hex(*design)),
-                ("i", Json::num(*bad_index as u64)),
-                ("n", Json::Str(bad_name.clone())),
-                ("b", Json::num(*bound as u64)),
-            ]),
-            Record::Bug {
-                design,
-                bad_index,
-                bad_name,
-                cex,
-            } => {
-                let mut fields = vec![
-                    ("k", Json::Str("bug".into())),
-                    ("d", Json::hex(*design)),
-                    ("i", Json::num(*bad_index as u64)),
-                    ("n", Json::Str(bad_name.clone())),
-                ];
-                fields.extend(cex.to_json());
-                Json::obj(fields)
-            }
-            Record::Cone { design, bads, cone } => Json::obj(vec![
-                ("k", Json::Str("cone".into())),
-                ("d", Json::hex(*design)),
-                (
-                    "b",
-                    Json::Arr(bads.iter().map(|&b| Json::num(b as u64)).collect()),
-                ),
-                (
-                    "c",
-                    Json::Arr(cone.iter().map(|&p| Json::num(u64::from(p))).collect()),
-                ),
             ]),
             Record::ConeClean {
                 cone,
@@ -431,33 +378,6 @@ impl Record {
         match v.get("k")?.as_str()? {
             "meta" => Some(Record::Meta {
                 version: v.get("v")?.as_u64()?,
-            }),
-            "clean" => Some(Record::Clean {
-                design: v.get("d")?.as_hex_u64()?,
-                bad_index: v.get("i")?.as_u64()? as usize,
-                bad_name: v.get("n")?.as_str()?.to_string(),
-                bound: v.get("b")?.as_u64()? as usize,
-            }),
-            "bug" => Some(Record::Bug {
-                design: v.get("d")?.as_hex_u64()?,
-                bad_index: v.get("i")?.as_u64()? as usize,
-                bad_name: v.get("n")?.as_str()?.to_string(),
-                cex: PersistedCex::from_json(v)?,
-            }),
-            "cone" => Some(Record::Cone {
-                design: v.get("d")?.as_hex_u64()?,
-                bads: v
-                    .get("b")?
-                    .as_arr()?
-                    .iter()
-                    .map(|b| Some(b.as_u64()? as usize))
-                    .collect::<Option<_>>()?,
-                cone: v
-                    .get("c")?
-                    .as_arr()?
-                    .iter()
-                    .map(|p| u32::try_from(p.as_u64()?).ok())
-                    .collect::<Option<_>>()?,
             }),
             "cclean" => Some(Record::ConeClean {
                 cone: v.get("d")?.as_hex_u64()?,
@@ -552,8 +472,8 @@ fn recover_file(text: &[u8]) -> FileRecovery {
             break;
         };
         if let Record::Meta { version } = record {
-            if version > FORMAT_VERSION {
-                // A future format: nothing after this marker is ours.
+            if version != FORMAT_VERSION {
+                // Another format: nothing after this marker is ours.
                 out.truncated += discarded_after(&rest[nl + 1..]).max(1);
                 break;
             }
@@ -644,7 +564,9 @@ impl DiskJournal {
             pending_records: 0,
             opts,
         };
-        if bytes.is_empty() {
+        if rec.good_len == 0 {
+            // A new journal, or one whose every record was dropped
+            // (another format version, damage from the first line).
             disk.append(&Record::Meta {
                 version: FORMAT_VERSION,
             });
@@ -757,9 +679,8 @@ mod tests {
     use super::*;
 
     fn bug_record() -> Record {
-        Record::Bug {
-            design: 0xdead_beef_0000_0001,
-            bad_index: 2,
+        Record::ConeBug {
+            cone: 0xdead_beef_0000_0001,
             bad_name: "aqed_fc".into(),
             cex: PersistedCex {
                 property: PropertyKind::Fc,
@@ -773,19 +694,10 @@ mod tests {
     #[test]
     fn records_round_trip_through_framed_lines() {
         let records = [
-            Record::Meta { version: 1 },
-            Record::Clean {
-                design: u64::MAX,
-                bad_index: 0,
-                bad_name: "aqed_rb".into(),
-                bound: 12,
+            Record::Meta {
+                version: FORMAT_VERSION,
             },
             bug_record(),
-            Record::Cone {
-                design: 7,
-                bads: vec![0, 3],
-                cone: vec![1, 2, 9],
-            },
             Record::ConeClean {
                 cone: 0x0123_4567_89ab_cdef,
                 bad_name: "BAD_RB_STARVATION".into(),
@@ -841,14 +753,14 @@ mod tests {
     }
 
     #[test]
-    fn future_format_versions_are_not_misread() {
-        let mut text = Record::Meta {
-            version: FORMAT_VERSION + 1,
+    fn other_format_versions_are_not_misread() {
+        for version in [FORMAT_VERSION - 1, FORMAT_VERSION + 1] {
+            let mut text = Record::Meta { version }.to_line();
+            text.push_str(&bug_record().to_line());
+            let rec = recover_file(text.as_bytes());
+            assert!(rec.records.is_empty(), "v{version}");
+            assert_eq!(rec.truncated, 1, "v{version}");
+            assert_eq!(rec.good_len, 0, "v{version}");
         }
-        .to_line();
-        text.push_str(&bug_record().to_line());
-        let rec = recover_file(text.as_bytes());
-        assert!(rec.records.is_empty());
-        assert_eq!(rec.truncated, 1);
     }
 }

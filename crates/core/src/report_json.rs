@@ -16,42 +16,77 @@ fn ms(d: Duration) -> Json {
     Json::Num(d.as_secs_f64() * 1e3)
 }
 
+/// Destructured without `..`: a stats field added without deciding
+/// whether the report carries it fails to compile here.
 fn solver_stats_json(s: &SolverStats) -> Json {
+    let SolverStats {
+        decisions,
+        propagations,
+        conflicts,
+        restarts,
+        learnts,
+        deleted,
+        binary_props,
+        gc_runs,
+        arena_bytes,
+        subsumed,
+        eliminated_vars,
+        preprocess_micros,
+        learnt_imported,
+        learnt_discarded,
+        // Portfolio-only bookkeeping; not part of the report schema.
+        shared_exported: _,
+        shared_imported: _,
+        wasted_conflicts: _,
+        portfolio_winner: _,
+    } = *s;
     Json::obj(vec![
-        ("decisions", Json::num(s.decisions)),
-        ("propagations", Json::num(s.propagations)),
-        ("conflicts", Json::num(s.conflicts)),
-        ("restarts", Json::num(s.restarts)),
-        ("learnts", Json::num(s.learnts)),
-        ("deleted", Json::num(s.deleted)),
-        ("binary_props", Json::num(s.binary_props)),
-        ("gc_runs", Json::num(s.gc_runs)),
-        ("arena_bytes", Json::num(s.arena_bytes)),
-        ("subsumed", Json::num(s.subsumed)),
-        ("eliminated_vars", Json::num(s.eliminated_vars)),
-        ("preprocess_micros", Json::num(s.preprocess_micros)),
-        ("learnt_imported", Json::num(s.learnt_imported)),
-        ("learnt_discarded", Json::num(s.learnt_discarded)),
+        ("decisions", Json::num(decisions)),
+        ("propagations", Json::num(propagations)),
+        ("conflicts", Json::num(conflicts)),
+        ("restarts", Json::num(restarts)),
+        ("learnts", Json::num(learnts)),
+        ("deleted", Json::num(deleted)),
+        ("binary_props", Json::num(binary_props)),
+        ("gc_runs", Json::num(gc_runs)),
+        ("arena_bytes", Json::num(arena_bytes)),
+        ("subsumed", Json::num(subsumed)),
+        ("eliminated_vars", Json::num(eliminated_vars)),
+        ("preprocess_micros", Json::num(preprocess_micros)),
+        ("learnt_imported", Json::num(learnt_imported)),
+        ("learnt_discarded", Json::num(learnt_discarded)),
     ])
 }
 
+/// Destructured without `..`, like [`solver_stats_json`].
 fn bmc_stats_json(s: &BmcStats) -> Json {
+    let BmcStats {
+        frames_encoded,
+        solver_calls,
+        clauses,
+        variables,
+        elapsed,
+        solver,
+        coi_latches_kept,
+        coi_latches_dropped,
+        verdicts_reused,
+        coi_micros,
+        encode_micros,
+        solve_micros,
+    } = *s;
     Json::obj(vec![
-        ("frames_encoded", Json::num(s.frames_encoded as u64)),
-        ("solver_calls", Json::num(s.solver_calls)),
-        ("clauses", Json::num(s.clauses as u64)),
-        ("variables", Json::num(s.variables as u64)),
-        ("elapsed_ms", ms(s.elapsed)),
-        ("coi_latches_kept", Json::num(s.coi_latches_kept as u64)),
-        (
-            "coi_latches_dropped",
-            Json::num(s.coi_latches_dropped as u64),
-        ),
-        ("verdicts_reused", Json::num(s.verdicts_reused)),
-        ("coi_micros", Json::num(s.coi_micros)),
-        ("encode_micros", Json::num(s.encode_micros)),
-        ("solve_micros", Json::num(s.solve_micros)),
-        ("solver", solver_stats_json(&s.solver)),
+        ("frames_encoded", Json::num(frames_encoded as u64)),
+        ("solver_calls", Json::num(solver_calls)),
+        ("clauses", Json::num(clauses as u64)),
+        ("variables", Json::num(variables as u64)),
+        ("elapsed_ms", ms(elapsed)),
+        ("coi_latches_kept", Json::num(coi_latches_kept as u64)),
+        ("coi_latches_dropped", Json::num(coi_latches_dropped as u64)),
+        ("verdicts_reused", Json::num(verdicts_reused)),
+        ("coi_micros", Json::num(coi_micros)),
+        ("encode_micros", Json::num(encode_micros)),
+        ("solve_micros", Json::num(solve_micros)),
+        ("solver", solver_stats_json(&solver)),
     ])
 }
 

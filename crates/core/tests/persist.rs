@@ -5,12 +5,14 @@
 
 use aqed_bmc::BmcOptions;
 use aqed_core::{
-    verify_obligations_governed, AqedHarness, ArtifactStore, CheckOutcome, FcConfig,
-    ParallelVerifyReport, RunContext, ScheduleOptions, StoreOptions, JOURNAL_FILE, SNAPSHOT_FILE,
+    cone_hash, design_hash, verify_obligations_governed, AqedHarness, ArtifactStore, CheckOutcome,
+    FcConfig, ParallelVerifyReport, RunContext, ScheduleOptions, StoreOptions, JOURNAL_FILE,
+    SNAPSHOT_FILE,
 };
 use aqed_expr::ExprPool;
 use aqed_hls::{synthesize, AccelSpec, SynthOptions};
 use aqed_sat::Solver;
+use aqed_tsys::{coi_slice, TransitionSystem};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -20,9 +22,9 @@ fn store_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// One deterministic accelerator run (so repeat calls hash to the same
-/// artifact key), optionally through a store.
-fn run_once(bug: bool, store: Option<&Arc<ArtifactStore>>) -> ParallelVerifyReport {
+/// The composed test accelerator, built deterministically so repeat
+/// calls hash to the same artifact keys.
+fn compose(bug: bool) -> (TransitionSystem, ExprPool) {
     let mut pool = ExprPool::new();
     let spec = AccelSpec::new("persist_case", 2, 6, 6)
         .with_latency(2)
@@ -42,6 +44,12 @@ fn run_once(bug: bool, store: Option<&Arc<ArtifactStore>>) -> ParallelVerifyRepo
     let (composed, _) = AqedHarness::new(&lca)
         .with_fc(FcConfig::default())
         .build(&mut pool);
+    (composed, pool)
+}
+
+/// One run of the test accelerator, optionally through a store.
+fn run_once(bug: bool, store: Option<&Arc<ArtifactStore>>) -> ParallelVerifyReport {
+    let (composed, pool) = compose(bug);
     let options = BmcOptions::default().with_max_bound(6);
     let sched = ScheduleOptions::default().with_jobs(2);
     let ctx = match store {
@@ -219,5 +227,64 @@ fn leftover_compaction_scratch_is_discarded_on_open() {
     assert!(!tmp.exists(), "scratch must be deleted, not recovered");
     assert!(store.recovered_records() > 0);
     assert_eq!(store.truncated_records(), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// FNV-1a 64, the journal's per-line checksum.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// One journal line: checksum, space, JSON payload.
+fn framed(payload: &str) -> String {
+    format!("{:016x} {payload}\n", fnv1a(payload.as_bytes()))
+}
+
+#[test]
+fn a_store_written_by_format_one_opens_empty_and_is_rewritten() {
+    let dir = store_dir("format-one");
+    std::fs::create_dir_all(&dir).expect("create store dir");
+    let baseline = run_once(true, None);
+    let cex = baseline
+        .counterexample()
+        .expect("the buggy variant has a counterexample");
+    // A journal as the previous format wrote it: its version marker, a
+    // whole-design "clean" verdict (a kind this format dropped) and a
+    // cone-keyed one (a kind it still parses), both for the obligation
+    // that has the bug. Served, either would hide it.
+    let (composed, pool) = compose(true);
+    let design = design_hash(&composed, &pool);
+    let cone = cone_hash(&coi_slice(&composed, &pool, &[cex.bad_index]), &pool);
+    let (i, bad) = (cex.bad_index, &cex.bad_name);
+    let journal = framed(r#"{"k":"meta","v":1}"#)
+        + &framed(&format!(
+            r#"{{"k":"clean","d":"{design:016x}","i":{i},"n":"{bad}","b":6}}"#
+        ))
+        + &framed(&format!(
+            r#"{{"k":"cclean","d":"{cone:016x}","n":"{bad}","b":6}}"#
+        ));
+    std::fs::write(dir.join(JOURNAL_FILE), journal).expect("write v1 journal");
+    {
+        let store = Arc::new(ArtifactStore::open(&dir).expect("a v1 store still opens"));
+        assert_eq!(store.recovered_records(), 0, "no v1 record is recovered");
+        assert_eq!(store.cone_outcome_count(), 0);
+        let run = run_once(true, Some(&store));
+        assert_eq!(keys(&baseline), keys(&run), "the run matches a cold run");
+        assert_eq!(run.cache_hits, 0, "nothing is served from a v1 store");
+    }
+    // The journal was restarted in this build's format.
+    let text = std::fs::read_to_string(dir.join(JOURNAL_FILE)).expect("read journal");
+    let first = text.lines().next().unwrap_or_default();
+    assert!(
+        first.contains(r#""k":"meta""#) && !first.contains(r#""v":1"#),
+        "journal must restart with this format's marker: {first}"
+    );
+    let store = Arc::new(ArtifactStore::open(&dir).expect("reopen store"));
+    assert_eq!(store.truncated_records(), 0);
+    let warm = run_once(true, Some(&store));
+    assert_eq!(keys(&baseline), keys(&warm));
+    assert_fully_warm(&warm, "after the v1 journal was rewritten");
     let _ = std::fs::remove_dir_all(&dir);
 }

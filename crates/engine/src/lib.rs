@@ -11,9 +11,10 @@
 //! An [`Engine`] optionally carries a cross-request
 //! [`aqed_core::ArtifactStore`]: a long-lived process
 //! (daemon, warm CI loop) constructs one engine and every request
-//! through it shares COI cones and definitive verdicts, keyed by the
-//! composed system's content hash. A fresh engine per run
-//! ([`Engine::new`]) behaves exactly like the pre-engine CLI wiring.
+//! through it shares definitive verdicts and learnt-clause packs, each
+//! keyed by the content hash of one obligation's COI slice. A fresh
+//! engine per run ([`Engine::new`]) behaves exactly like the
+//! pre-engine CLI wiring.
 
 use aqed_bmc::BmcOptions;
 use aqed_core::{
@@ -99,11 +100,6 @@ pub struct VerifyRequest {
     pub preprocess: bool,
     /// Slice each obligation to the cone of influence of its bad.
     pub coi: bool,
-    /// Warm-start incremental re-verification (default true; inert
-    /// without an artifact store or with `coi` off): reuse cone-keyed
-    /// verdicts across design edits, skip re-proven frame prefixes, and
-    /// inject stored learnt-clause packs. Never changes a verdict.
-    pub warm_start: bool,
 }
 
 impl VerifyRequest {
@@ -123,7 +119,6 @@ impl VerifyRequest {
             fail_fast: false,
             preprocess: true,
             coi: true,
-            warm_start: true,
         }
     }
 
@@ -151,7 +146,6 @@ impl VerifyRequest {
             ("fail_fast", Json::Bool(self.fail_fast)),
             ("preprocess", Json::Bool(self.preprocess)),
             ("coi", Json::Bool(self.coi)),
-            ("warm_start", Json::Bool(self.warm_start)),
         ])
     }
 
@@ -214,9 +208,6 @@ impl VerifyRequest {
         if let Some(c) = v.get("coi") {
             req.coi = c.as_bool().ok_or("'coi' must be a bool")?;
         }
-        if let Some(w) = v.get("warm_start") {
-            req.warm_start = w.as_bool().ok_or("'warm_start' must be a bool")?;
-        }
         Ok(req)
     }
 }
@@ -278,8 +269,10 @@ impl Engine {
         Engine::default()
     }
 
-    /// An engine whose runs share `store` — cones and definitive
-    /// verdicts persist across requests on the same design.
+    /// An engine whose runs share `store`: a definitive verdict for an
+    /// obligation's COI slice answers every later request containing
+    /// the same slice, whether the design is unchanged or was edited
+    /// outside that cone.
     #[must_use]
     pub fn with_artifacts(store: Arc<ArtifactStore>) -> Self {
         Engine {
@@ -288,8 +281,9 @@ impl Engine {
     }
 
     /// An engine backed by a durable [`ArtifactStore`] rooted at `dir`:
-    /// verdicts and cones recovered from previous processes warm this
-    /// one, and each run's new facts are flushed to disk when it ends.
+    /// verdicts and learnt packs recovered from previous processes warm
+    /// this one, and each run's new facts are flushed to disk when it
+    /// ends.
     ///
     /// # Errors
     ///
@@ -386,8 +380,7 @@ impl Engine {
         options.conflict_budget = req.conflict_budget;
         let sched = ScheduleOptions::default()
             .with_jobs(req.jobs)
-            .with_fail_fast(req.fail_fast)
-            .with_warm_start(req.warm_start);
+            .with_fail_fast(req.fail_fast);
         let ctx = RunContext {
             artifacts: self.artifacts.clone(),
             stop: stop.cloned(),
@@ -469,13 +462,18 @@ mod tests {
         req.fail_fast = true;
         req.preprocess = false;
         req.coi = false;
-        req.warm_start = false;
         let back = VerifyRequest::from_json(&req.to_json()).expect("round trip");
         assert_eq!(back, req);
         // Defaults: a minimal object is a default request.
         let minimal = aqed_obs::json::parse(r#"{"case":"aes_v1"}"#).unwrap();
         assert_eq!(
             VerifyRequest::from_json(&minimal).expect("minimal"),
+            VerifyRequest::new("aes_v1")
+        );
+        // An old client's `warm_start` field is ignored, not rejected.
+        let legacy = aqed_obs::json::parse(r#"{"case":"aes_v1","warm_start":false}"#).unwrap();
+        assert_eq!(
+            VerifyRequest::from_json(&legacy).expect("legacy"),
             VerifyRequest::new("aes_v1")
         );
         // Missing case: rejected.

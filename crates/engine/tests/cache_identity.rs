@@ -1,7 +1,9 @@
 //! Soundness of the cross-request artifact cache: caching must be
 //! *invisible*. Across the whole design catalog, verdicts produced by a
 //! warm shared [`ArtifactStore`] — including concurrent requests on the
-//! same design — must be identical to cache-off runs, per obligation.
+//! same design, and requests whose `coi` setting differs from the run
+//! that filled the store — must be identical to cache-off runs, per
+//! obligation.
 
 use aqed_core::{ArtifactStore, CheckOutcome};
 use aqed_designs::all_cases;
@@ -107,4 +109,60 @@ fn concurrent_requests_on_one_design_match_the_cache_off_verdict() {
     let warm = engine.verify(&req).expect("warm run");
     assert_eq!(expected, obligation_keys(&warm));
     assert_eq!(warm.report.cache_hits, warm.report.obligations.len() as u64);
+}
+
+/// The violated property of each obligation's bug, in obligation order.
+fn bug_properties(outcome: &VerifyOutcome) -> Vec<Option<String>> {
+    outcome
+        .report
+        .obligations
+        .iter()
+        .map(|r| match &r.outcome {
+            CheckOutcome::Bug { property, .. } => Some(property.to_string()),
+            _ => None,
+        })
+        .collect()
+}
+
+/// The store key is the obligation's COI slice whatever the request's
+/// `coi` setting, so a store filled with slicing on answers requests
+/// with it off, and the reverse, exactly as a cold run would.
+#[test]
+fn one_store_serves_requests_across_the_coi_setting() {
+    for (case, healthy) in [
+        ("fifo_ptr_wrap_off_by_one", false),
+        ("dataflow_fifo_sizing", true),
+    ] {
+        for fill_coi in [true, false] {
+            let mut fill = VerifyRequest::new(case);
+            fill.healthy = healthy;
+            fill.bound = Some(6);
+            fill.coi = fill_coi;
+            let mut query = fill.clone();
+            query.coi = !fill_coi;
+            let engine = Engine::with_artifacts(Arc::new(ArtifactStore::new()));
+            engine.verify(&fill).expect("filling run");
+            let served = engine.verify(&query).expect("served run");
+            let cold = Engine::new().verify(&query).expect("store-less run");
+            let what = format!("{case} (healthy: {healthy}), filled with coi={fill_coi}");
+            assert_eq!(
+                served.report.cache_hits,
+                served.report.obligations.len() as u64,
+                "{what}: every obligation must be a store hit"
+            );
+            assert_eq!(obligation_keys(&cold), obligation_keys(&served), "{what}");
+            assert_eq!(bug_properties(&cold), bug_properties(&served), "{what}");
+            assert_eq!(cold.exit_code(), served.exit_code(), "{what}");
+            assert_eq!(served.report.found_bug(), !healthy, "{what}");
+            for r in &served.report.obligations {
+                if let CheckOutcome::Bug { counterexample, .. } = &r.outcome {
+                    assert!(
+                        counterexample.replay(&served.composed, &served.pool),
+                        "{what}: served witness for {} must replay",
+                        r.obligation.bad_name
+                    );
+                }
+            }
+        }
+    }
 }

@@ -279,7 +279,7 @@ fn submit_cmd(args: &[String]) -> io::Result<u8> {
     };
     // Cancellation is interactive (one attempt by definition); plain
     // submits may ride the retrying path, which is idempotent because
-    // results are keyed by design hash in the daemon's artifact store.
+    // results are keyed by content hash in the daemon's artifact store.
     let outcome = if retries > 0 && cancel_after.is_none() {
         submit_retrying(addr.as_str(), &req, retries, retry_backoff, on_event)?
     } else {

@@ -198,7 +198,7 @@ fn sigkill_restart_resubmit_yields_cold_identical_verdicts() {
     assert!(
         health
             .get("store")
-            .and_then(|s| s.get("outcome_hits"))
+            .and_then(|s| s.get("cone_hits"))
             .and_then(Json::as_u64)
             .unwrap_or(0)
             > 0

@@ -130,7 +130,7 @@ fn concurrent_submissions_agree_and_later_runs_hit_the_cache() {
         Some(0),
         "warm run must not call the solver"
     );
-    assert!(server.artifacts().outcome_hits() > 0);
+    assert!(server.artifacts().cone_hits() > 0);
     server.begin_shutdown();
     server.join();
 }

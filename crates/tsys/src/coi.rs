@@ -261,30 +261,6 @@ impl CoiCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Pre-populates the cone memo for the (sorted, deduplicated)
-    /// bad-index set, e.g. from a cross-request artifact store. A later
-    /// [`coi_slice_cached`] on the same set is then a pure memo hit. An
-    /// already-present entry is kept; the seed must be the cone the BFS
-    /// would compute for this cache's system, or slices become unsound.
-    pub fn seed_cone(&self, bad_indices: &[usize], cone: HashSet<VarId>) {
-        let mut key = bad_indices.to_vec();
-        key.sort_unstable();
-        key.dedup();
-        lock_cones(&self.cones)
-            .entry(key)
-            .or_insert_with(|| Arc::new(cone));
-    }
-
-    /// Snapshot of every memoized cone, keyed by the sorted bad-index
-    /// set — the export half of cross-request reuse.
-    #[must_use]
-    pub fn cones(&self) -> Vec<(Vec<usize>, Arc<HashSet<VarId>>)> {
-        lock_cones(&self.cones)
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect()
-    }
-
     fn cone(
         &self,
         ts: &TransitionSystem,
@@ -431,34 +407,6 @@ mod tests {
         let _ = coi_slice_cached(&ts, &p, &[0, 1], Some(&cache));
         assert_eq!(cache.misses(), 3);
         assert_eq!(cache.hits(), 2);
-    }
-
-    #[test]
-    fn seeded_cones_short_circuit_the_bfs() {
-        let mut p = ExprPool::new();
-        let ts = two_counters(&mut p);
-        // Harvest a cone from one run's cache...
-        let donor = CoiCache::new();
-        let _ = coi_slice_cached(&ts, &p, &[0], Some(&donor));
-        let exported = donor.cones();
-        assert_eq!(exported.len(), 1);
-        // ...and transplant it into a fresh cache: the same query is now
-        // a pure memo hit and the slice is identical to an uncached one.
-        let warm = CoiCache::new();
-        for (key, cone) in exported {
-            warm.seed_cone(&key, cone.as_ref().clone());
-        }
-        let plain = coi_slice(&ts, &p, &[0]);
-        let seeded = coi_slice_cached(&ts, &p, &[0], Some(&warm));
-        assert_eq!(warm.hits(), 1);
-        assert_eq!(warm.misses(), 0);
-        assert_eq!(plain.system.inputs(), seeded.system.inputs());
-        assert_eq!(plain.latches_kept, seeded.latches_kept);
-        assert_eq!(plain.bad_map, seeded.bad_map);
-        seeded
-            .system
-            .validate(&p)
-            .expect("seeded slice well-formed");
     }
 
     #[test]

@@ -253,7 +253,7 @@ if [ "$cold_rcs" != "$warm_rcs" ] || [ "$cold_outs" != "$warm_outs" ]; then
     exit 1
 fi
 health=$(./target/release/aqed-serve health --addr "$addr")
-hits=$(echo "$health" | json_field outcome_hits)
+hits=$(echo "$health" | json_field cone_hits)
 if [ -z "$hits" ] || [ "$hits" -eq 0 ]; then
     echo "post-kill re-submits were not served from the store: $health" >&2
     exit 1
@@ -315,7 +315,7 @@ echo "== warm-start: re-verify after a one-constant edit (CI mode)"
 # cold run internally; the gate additionally pins that obligations
 # whose cones the edit missed were actually reused, not re-solved.
 cargo build --release -q -p aqed-bench --bin bench_reverify
-ws_out=$(AQED_SUITE="dataflow_fifo_sizing,optflow_pushpop" \
+ws_out=$(AQED_SUITE="dataflow_fifo_sizing,optflow_pushpop" AQED_BENCH_DIR="$obs_tmp" \
     ./target/release/bench_reverify dataflow_fifo_sizing 6 1)
 echo "$ws_out" | grep -q "verdict identity: OK" || {
     echo "bench_reverify did not confirm verdict identity:" >&2
