@@ -121,7 +121,6 @@ struct Sweep {
     conflicts: u64,
     hits: u64,
     reused: u64,
-    imported: u64,
     keys: Vec<(String, String)>,
 }
 
@@ -132,7 +131,6 @@ impl Sweep {
         self.conflicts += report.aggregate.solver.conflicts;
         self.hits += report.obligations.iter().filter(|r| r.cache_hit).count() as u64;
         self.reused += report.aggregate.verdicts_reused;
-        self.imported += report.aggregate.solver.learnt_imported;
         for (name, key) in keys(report) {
             self.keys.push((format!("{id}/{name}"), key));
         }
@@ -141,14 +139,13 @@ impl Sweep {
 
 fn row(label: &str, s: &Sweep, cold: Duration) -> Json {
     println!(
-        "{label:<18} {:>9.3} {:>8.1}x {:>6} {:>10} {:>7} {:>7} {:>9}",
+        "{label:<18} {:>9.3} {:>8.1}x {:>6} {:>10} {:>7} {:>7}",
         s.time.as_secs_f64(),
         cold.as_secs_f64() / s.time.as_secs_f64().max(1e-9),
         s.calls,
         s.conflicts,
         s.hits,
         s.reused,
-        s.imported,
     );
     Json::obj(vec![
         ("phase", Json::from(label.trim())),
@@ -161,7 +158,6 @@ fn row(label: &str, s: &Sweep, cold: Duration) -> Json {
         ("conflicts", Json::num(s.conflicts)),
         ("cache_hits", Json::num(s.hits)),
         ("verdicts_reused", Json::num(s.reused)),
-        ("learnt_imported", Json::num(s.imported)),
     ])
 }
 
@@ -219,8 +215,8 @@ fn main() {
         edited.cones_total,
     );
     println!(
-        "{:<18} {:>9} {:>9} {:>6} {:>10} {:>7} {:>7} {:>9}",
-        "phase", "time(s)", "speedup", "calls", "conflicts", "hits", "reused", "imported"
+        "{:<18} {:>9} {:>9} {:>6} {:>10} {:>7} {:>7}",
+        "phase", "time(s)", "speedup", "calls", "conflicts", "hits", "reused"
     );
 
     let dir = std::env::temp_dir().join(format!("aqed-bench-reverify-{}", std::process::id()));

@@ -18,7 +18,6 @@ use aqed_bmc::{Bmc, BmcOptions, BmcResult};
 use aqed_core::AqedHarness;
 use aqed_designs::all_cases;
 use aqed_expr::ExprPool;
-use aqed_sat::portfolio::{set_default_sharing, set_default_workers};
 use aqed_sat::{PortfolioBackend, SatBackend, Solver};
 use std::time::Instant;
 
@@ -33,9 +32,9 @@ fn verdict(r: &BmcResult) -> String {
 fn check<B: SatBackend + Default>(
     composed: &aqed_tsys::TransitionSystem,
     pool: &mut ExprPool,
-    bound: usize,
+    options: BmcOptions,
 ) -> (f64, BmcResult, aqed_bmc::BmcStats) {
-    let mut bmc = Bmc::<B>::with_backend(composed, BmcOptions::default().with_max_bound(bound));
+    let mut bmc = Bmc::<B>::with_backend(composed, options);
     let t = Instant::now();
     let result = bmc.check(composed, pool);
     (t.elapsed().as_secs_f64(), result, bmc.stats())
@@ -66,7 +65,8 @@ fn main() {
         "config", "time(s)", "conflicts", "exported", "imported", "wasted", "verdict"
     );
 
-    let (base_t, base_r, base_s) = check::<Solver>(&composed, &mut pool, bound);
+    let options = BmcOptions::default().with_max_bound(bound);
+    let (base_t, base_r, base_s) = check::<Solver>(&composed, &mut pool, options.clone());
     println!(
         "{:<26} {:>9.2} {:>11} {:>9} {:>9} {:>9} {:>7}",
         "cdcl (baseline)",
@@ -81,9 +81,11 @@ fn main() {
     let mut ok = true;
     for &sharing in &[true, false] {
         for &workers in &[1usize, 2, 4, 8] {
-            set_default_workers(workers);
-            set_default_sharing(sharing);
-            let (t, r, s) = check::<PortfolioBackend>(&composed, &mut pool, bound);
+            let (t, r, s) = check::<PortfolioBackend>(
+                &composed,
+                &mut pool,
+                options.clone().with_portfolio(workers, sharing),
+            );
             let label = format!(
                 "portfolio w={workers} share={}",
                 if sharing { "on" } else { "off" }

@@ -106,9 +106,6 @@ fn main() {
         }
     }
     println!("total: {:.2}s", t0.elapsed().as_secs_f64());
-    // The full solver-stats line includes the warm-start counters
-    // (learnt_imported / learnt_discarded) — zero on this cold sweep,
-    // nonzero when a learnt pack was injected.
     if let Some(solver) = last_solver {
         println!("final solver stats: {solver}");
     }

@@ -45,7 +45,6 @@
 //! }
 //! ```
 
-pub mod kind;
 mod witness;
 
 pub use witness::to_btor2_witness;
@@ -57,11 +56,10 @@ pub use aqed_sat::{ArmedBudget, Budget, StopHandle, StopReason};
 use aqed_bitblast::BitBlaster;
 use aqed_bitvec::Bv;
 use aqed_expr::{ExprPool, ExprRef, VarId};
-use aqed_sat::{Lit, SatBackend, SolveResult, Solver, SolverStats, Var};
+use aqed_sat::{Lit, SatBackend, SolveResult, Solver, SolverStats};
 use aqed_tsys::{coi_slice_cached, CoiCache, CoiSlice, Simulator, Trace, TransitionSystem};
 use std::collections::HashMap;
 use std::fmt;
-use std::marker::PhantomData;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -107,6 +105,13 @@ pub struct BmcOptions {
     /// [`SatBackend::set_metrics_scope`] (e.g. `"prop=fc"`), separating
     /// the backend's metric histograms per obligation / property class.
     pub metrics_scope: Option<String>,
+    /// Race width forwarded to the backend via
+    /// [`SatBackend::set_portfolio`] (default 4). Single-solver backends
+    /// ignore it.
+    pub portfolio_workers: usize,
+    /// Whether portfolio workers exchange short learnt clauses (default
+    /// true), forwarded together with `portfolio_workers`.
+    pub clause_sharing: bool,
 }
 
 impl Default for BmcOptions {
@@ -121,6 +126,8 @@ impl Default for BmcOptions {
             preprocess: true,
             escalation_level: None,
             metrics_scope: None,
+            portfolio_workers: 4,
+            clause_sharing: true,
         }
     }
 }
@@ -189,144 +196,26 @@ impl BmcOptions {
         self.metrics_scope = scope;
         self
     }
-}
 
-/// Clauses longer than this stay out of the exported learnt core: their
-/// import cost outweighs their pruning value.
-const MAX_PACK_LITS: usize = 32;
-
-/// At most this many learnt clauses are exported per run (the
-/// highest-activity survivors).
-const MAX_PACK_CLAUSES: usize = 2048;
-
-/// A learnt-clause core exported by one incremental BMC run, keyed to
-/// the exact frame-by-frame CNF the run built.
-///
-/// The unroller, bit-blaster, and per-frame disjunction encoding are
-/// deterministic functions of the (sliced) transition system, so two
-/// runs over an identical slice allocate identical solver variables in
-/// identical order. `frame_vars` records the variable count after each
-/// frame's query encoding; a future run may inject `clauses` only once
-/// its own counts have matched the donor's through the donor's final
-/// frame — any mismatch means the CNF differs and the whole pack is
-/// discarded. Injected clauses are then implied by the (identical)
-/// formula, so they are redundant by construction and cannot change a
-/// verdict or a model.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LearntPack {
-    /// Backend variable count observed after frame `k`'s query encoding.
-    pub frame_vars: Vec<u32>,
-    /// Learnt clauses, each literal encoded as `(var << 1) | positive`.
-    pub clauses: Vec<Vec<u32>>,
-}
-
-impl LearntPack {
-    /// Whether the pack carries no clauses.
+    /// Returns the options with a portfolio race width and clause-sharing
+    /// switch.
     #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.clauses.is_empty()
+    pub fn with_portfolio(mut self, workers: usize, sharing: bool) -> Self {
+        self.portfolio_workers = workers;
+        self.clause_sharing = sharing;
+        self
     }
 }
 
-/// Warm-start inputs for one incremental run (see
+/// Warm-start input for one incremental run (see
 /// [`Bmc::set_warm_start`]).
 #[derive(Debug, Clone, Default)]
 pub struct WarmStart {
     /// Frames `0..=skip_to` are already proven clean for the selected
-    /// bads by a reused persisted verdict: they are still encoded — so
-    /// the CNF reproduces the donor run's variable numbering exactly —
-    /// but their queries are not solved. The caller owns the soundness
-    /// of the reused fact (content-addressed cone identity).
+    /// bads by a reused persisted verdict: they are still encoded, but
+    /// their queries are not solved. The caller owns the soundness of
+    /// the reused fact (content-addressed cone identity).
     pub skip_to: Option<usize>,
-    /// Learnt core from a previous run over an identical sliced system,
-    /// injected once the frame fingerprints prove the CNF identical.
-    pub pack: Option<LearntPack>,
-}
-
-/// Per-run warm-start bookkeeping threaded through the frame loop.
-struct WarmCtl {
-    /// Whether warm mode is on (fingerprints recorded, core exported).
-    enabled: bool,
-    skip_to: Option<usize>,
-    /// Pending pack; taken on injection or on the first mismatch.
-    pack: Option<LearntPack>,
-    /// This run's own frame fingerprints (becomes the exported pack's).
-    frame_vars: Vec<u32>,
-    /// Clauses dropped without injection (fingerprint mismatch, or the
-    /// run ended before reaching the pack's final frame).
-    discarded: u64,
-    /// Whether at least one frame query was skipped via `skip_to`.
-    skipped: bool,
-}
-
-impl WarmCtl {
-    fn off() -> Self {
-        WarmCtl {
-            enabled: false,
-            skip_to: None,
-            pack: None,
-            frame_vars: Vec::new(),
-            discarded: 0,
-            skipped: false,
-        }
-    }
-
-    fn from_warm(warm: Option<WarmStart>) -> Self {
-        let Some(w) = warm else { return WarmCtl::off() };
-        let mut ctl = WarmCtl {
-            enabled: true,
-            skip_to: w.skip_to,
-            pack: None,
-            frame_vars: Vec::new(),
-            discarded: 0,
-            skipped: false,
-        };
-        match w.pack {
-            // A pack with clauses but no fingerprints can never be
-            // validated: discard it up front.
-            Some(p) if p.frame_vars.is_empty() => ctl.discarded = p.clauses.len() as u64,
-            Some(p) if !p.is_empty() => ctl.pack = Some(p),
-            _ => {}
-        }
-        ctl
-    }
-
-    /// Whether frame `k`'s query is covered by a reused clean verdict.
-    fn skips(&self, k: usize) -> bool {
-        self.skip_to.is_some_and(|c| k <= c)
-    }
-
-    /// Records frame `k`'s completed encoding and injects the pack when
-    /// the donor's final frame is reached with every fingerprint
-    /// matched. Called after the frame's query CNF (bad literals plus
-    /// disjunction) is fully built and before it is solved, so injected
-    /// clauses help the very next query.
-    fn observe_frame<B: SatBackend>(&mut self, k: usize, backend: &mut B) {
-        if !self.enabled {
-            return;
-        }
-        let nv = backend.num_vars() as u32;
-        self.frame_vars.push(nv);
-        let Some(pack) = &self.pack else { return };
-        if pack.frame_vars[k] != nv {
-            let p = self.pack.take().expect("checked above");
-            self.discarded += p.clauses.len() as u64;
-            return;
-        }
-        if k + 1 == pack.frame_vars.len() {
-            let p = self.pack.take().expect("checked above");
-            let clauses: Vec<Vec<Lit>> = p
-                .clauses
-                .iter()
-                .map(|c| {
-                    c.iter()
-                        .map(|&code| Var::from_index((code >> 1) as usize).lit(code & 1 == 1))
-                        .collect()
-                })
-                .collect();
-            backend.import_learnts(&clauses);
-        }
-    }
 }
 
 /// A concrete witness violating a bad property.
@@ -452,7 +341,7 @@ pub struct BmcStats {
     /// Wall-clock microseconds spent unrolling frames into CNF.
     pub encode_micros: u64,
     /// Wall-clock microseconds spent in the per-depth SAT queries
-    /// (including warm fingerprinting and witness extraction). CNF
+    /// (including witness extraction). CNF
     /// preprocessing runs inside the solve, so this includes
     /// `solver.preprocess_micros`; the two timers nest.
     pub solve_micros: u64,
@@ -490,11 +379,11 @@ pub struct Bmc<B: SatBackend = Solver> {
     bad_filter: Option<Vec<usize>>,
     /// Shared COI support-fixpoint memo (see [`Bmc::set_coi_cache`]).
     coi_cache: Option<Arc<CoiCache>>,
-    /// Warm-start inputs for the next incremental check, if any.
+    /// Warm-start input for the next incremental check, if any.
     warm: Option<WarmStart>,
-    /// Learnt core captured by the most recent warm-mode run.
-    export: Option<LearntPack>,
-    backend: PhantomData<fn() -> B>,
+    /// The incremental run the last check left stopped on its conflict
+    /// budget; the next check resumes it.
+    stalled: Option<Stalled<B>>,
 }
 
 impl Bmc<Solver> {
@@ -532,26 +421,24 @@ impl<B: SatBackend> Bmc<B> {
             bad_filter: None,
             coi_cache: None,
             warm: None,
-            export: None,
-            backend: PhantomData,
+            stalled: None,
         }
     }
 
-    /// Enables warm-start mode for the next incremental check: frames
-    /// covered by `warm.skip_to` are encoded but not solved, the learnt
-    /// pack is injected once the frame fingerprints prove the CNF
-    /// identical to the donor's (see [`LearntPack`]), and on completion
-    /// the run's own surviving learnt core is captured for
-    /// [`Bmc::take_learnt_export`]. Monolithic mode ignores warm-start
-    /// (its per-depth sessions never match an incremental donor).
+    /// Sets the warm-start input for the next incremental check: frames
+    /// covered by `warm.skip_to` are encoded but not solved. Monolithic
+    /// mode ignores it.
     pub fn set_warm_start(&mut self, warm: WarmStart) {
         self.warm = Some(warm);
     }
 
-    /// The learnt core captured by the most recent warm-mode incremental
-    /// run, or `None` when warm mode was off (or the run was monolithic).
-    pub fn take_learnt_export(&mut self) -> Option<LearntPack> {
-        self.export.take()
+    /// Sets the per-call conflict budget and the backend escalation hint
+    /// ([`BmcOptions::conflict_budget`], [`BmcOptions::escalation_level`])
+    /// for the following checks. A run stalled on its conflict budget
+    /// resumes under the new values.
+    pub fn set_effort(&mut self, conflict_budget: Option<u64>, escalation_level: Option<u32>) {
+        self.options.conflict_budget = conflict_budget;
+        self.options.escalation_level = escalation_level;
     }
 
     /// Installs a shared [`CoiCache`] so repeated checks (and sibling
@@ -576,12 +463,12 @@ impl<B: SatBackend> Bmc<B> {
                     .unwrap_or_else(|| panic!("no bad property named '{n}'"))
             })
             .collect();
-        self.bad_filter = Some(idx);
+        self.select_bad_indices(ts, &idx);
     }
 
     /// Restricts checking to the given bad indices (default: all). The
     /// obligation scheduler uses this to split a system's properties into
-    /// independent jobs without going through names.
+    /// independent jobs without going through names. Drops a stalled run.
     ///
     /// # Panics
     ///
@@ -595,6 +482,7 @@ impl<B: SatBackend> Bmc<B> {
             );
         }
         self.bad_filter = Some(indices.to_vec());
+        self.stalled = None;
     }
 
     /// Statistics of the most recent check.
@@ -630,6 +518,13 @@ impl<B: SatBackend + Default> Bmc<B> {
     /// queries. The obligation scheduler uses this to share one deadline
     /// across many per-property runs.
     ///
+    /// An incremental run stopped by its per-call conflict budget
+    /// ([`StopReason::Conflicts`]) keeps its solver. The next check on
+    /// this checker (same system and pool) re-solves the stalled frame's
+    /// query under the effort then set ([`Bmc::set_effort`]) and goes on
+    /// from there, with every learnt clause, activity score and
+    /// preprocessing result intact. Any other result drops the solver.
+    ///
     /// # Panics
     ///
     /// As for [`Bmc::check`].
@@ -661,7 +556,6 @@ impl<B: SatBackend + Default> Bmc<B> {
         let start = Instant::now();
         ts.validate(pool).expect("system must be well-formed");
         self.stats = BmcStats::default();
-        self.export = None;
         let bad_idx = self.bad_indices(ts);
         let _check_span = aqed_obs::obs_span!(
             "bmc.check",
@@ -728,8 +622,9 @@ impl<B: SatBackend + Default> Bmc<B> {
     }
 
     /// Incremental mode: one session for the whole run; each depth adds
-    /// one frame to the live encoding. `inspect` sees the backend after
-    /// the last query.
+    /// one frame to the live encoding. A session the previous check left
+    /// stalled resumes at its stalled query. `inspect` sees the backend
+    /// after the last query.
     fn run_incremental<F: FnOnce(&mut B)>(
         &mut self,
         ts: &TransitionSystem,
@@ -738,16 +633,25 @@ impl<B: SatBackend + Default> Bmc<B> {
         armed: &ArmedBudget,
         inspect: F,
     ) -> BmcResult {
-        let mut session: Session<B> = Session::new(ts, pool, &self.options, armed);
+        let (mut session, first, mut pending) = match self.stalled.take() {
+            Some(stalled) => {
+                let mut session = stalled.session;
+                session.set_effort(&self.options, armed);
+                (session, stalled.depth, Some(stalled.query))
+            }
+            None => (Session::new(ts, pool, &self.options, armed), 0, None),
+        };
         let prune = self.options.prune_checked_bads;
-        let mut warm = WarmCtl::from_warm(self.warm.take());
+        let skip_to = self.warm.take().and_then(|w| w.skip_to);
+        let mut skipped = false;
+        let mut stall = None;
         let result = 'run: {
-            for k in 0..=self.options.max_bound {
+            for k in first..=self.options.max_bound {
                 if let Some(reason) = armed.poll() {
                     break 'run BmcResult::Unknown { bound: k, reason };
                 }
                 self.stats.frames_encoded = k;
-                {
+                if pending.is_none() {
                     let encode_start = Instant::now();
                     let mut sp = aqed_obs::obs_span!("bmc.encode", depth = k);
                     let pre = sp.is_active().then(|| session.sizes());
@@ -759,7 +663,26 @@ impl<B: SatBackend + Default> Bmc<B> {
                     let solve_start = Instant::now();
                     let mut sp = aqed_obs::obs_span!("bmc.solve", depth = k);
                     let pre = sp.is_active().then(|| session.sizes());
-                    let o = self.check_frame(&mut session, ts, pool, k, bad_idx, prune, &mut warm);
+                    let o = match pending
+                        .take()
+                        .or_else(|| session.arm_frame(pool, k, bad_idx))
+                    {
+                        None => FrameOutcome::Clean, // every bad statically false here
+                        Some(query) if skip_to.is_some_and(|c| k <= c) => {
+                            // Covered by a reused clean fact: mirror the
+                            // prune side effect (the fact proves these
+                            // bads unreachable) but spend no solver call.
+                            if prune {
+                                session.prune(&query);
+                            }
+                            skipped = true;
+                            FrameOutcome::Clean
+                        }
+                        Some(query) => {
+                            self.stats.solver_calls += 1;
+                            session.solve_armed(ts, pool, k, query, prune)
+                        }
+                    };
                     record_growth(&mut sp, pre, &session);
                     sp.record("result", outcome_code(&o));
                     self.stats.solve_micros += duration_micros(solve_start.elapsed());
@@ -772,39 +695,29 @@ impl<B: SatBackend + Default> Bmc<B> {
                     FrameOutcome::Unknown(reason) => {
                         break 'run BmcResult::Unknown { bound: k, reason };
                     }
+                    FrameOutcome::Stalled(query) => {
+                        stall = Some((k, query));
+                        break 'run BmcResult::Unknown {
+                            bound: k,
+                            reason: StopReason::Conflicts,
+                        };
+                    }
                 }
             }
             BmcResult::NoCounterexample {
                 bound: self.options.max_bound,
             }
         };
-        if warm.enabled {
-            // A pack the run never validated (ended early, or diverged)
-            // counts as discarded rather than silently vanishing.
-            if let Some(p) = warm.pack.take() {
-                warm.discarded += p.clauses.len() as u64;
-            }
-            self.stats.solver.learnt_discarded += warm.discarded;
-            if warm.skipped {
-                self.stats.verdicts_reused += 1;
-            }
-            let clauses: Vec<Vec<u32>> = session
-                .backend
-                .export_learnts(MAX_PACK_LITS, MAX_PACK_CLAUSES)
-                .iter()
-                .map(|c| {
-                    c.iter()
-                        .map(|&l| ((l.var().index() as u32) << 1) | u32::from(l.is_positive()))
-                        .collect()
-                })
-                .collect();
-            self.export = Some(LearntPack {
-                frame_vars: warm.frame_vars,
-                clauses,
-            });
+        if skipped {
+            self.stats.verdicts_reused += 1;
         }
         inspect(&mut session.backend);
         session.export_stats(&mut self.stats);
+        self.stalled = stall.map(|(depth, query)| Stalled {
+            session,
+            depth,
+            query,
+        });
         result
     }
 
@@ -838,15 +751,13 @@ impl<B: SatBackend + Default> Bmc<B> {
                 let solve_start = Instant::now();
                 let mut sp = aqed_obs::obs_span!("bmc.solve", depth = k);
                 let pre = sp.is_active().then(|| session.sizes());
-                let o = self.check_frame(
-                    &mut session,
-                    ts,
-                    pool,
-                    k,
-                    bad_idx,
-                    false,
-                    &mut WarmCtl::off(),
-                );
+                let o = match session.arm_frame(pool, k, bad_idx) {
+                    None => FrameOutcome::Clean,
+                    Some(query) => {
+                        self.stats.solver_calls += 1;
+                        session.solve_armed(ts, pool, k, query, false)
+                    }
+                };
                 record_growth(&mut sp, pre, &session);
                 sp.record("result", outcome_code(&o));
                 self.stats.solve_micros += duration_micros(solve_start.elapsed());
@@ -858,51 +769,17 @@ impl<B: SatBackend + Default> Bmc<B> {
                 FrameOutcome::Clean => {}
                 FrameOutcome::Cex(cex) => return BmcResult::Counterexample(cex),
                 FrameOutcome::Unknown(reason) => return BmcResult::Unknown { bound: k, reason },
+                FrameOutcome::Stalled(_) => {
+                    return BmcResult::Unknown {
+                        bound: k,
+                        reason: StopReason::Conflicts,
+                    }
+                }
             }
         }
         BmcResult::NoCounterexample {
             bound: self.options.max_bound,
         }
-    }
-
-    /// Encodes and solves the "any selected bad fires at frame `k`"
-    /// query, counting the solver call. In warm mode the completed frame
-    /// encoding is fingerprinted first (injecting the learnt pack when
-    /// due), and frames covered by a reused clean verdict skip the solve.
-    #[allow(clippy::too_many_arguments)]
-    fn check_frame(
-        &mut self,
-        session: &mut Session<B>,
-        ts: &TransitionSystem,
-        pool: &mut ExprPool,
-        k: usize,
-        bad_idx: &[usize],
-        prune: bool,
-        warm: &mut WarmCtl,
-    ) -> FrameOutcome {
-        let frame_bad_lits = session.frame_bad_lits(pool, k, bad_idx);
-        if frame_bad_lits.is_empty() {
-            warm.observe_frame(k, &mut session.backend);
-            return FrameOutcome::Clean; // every bad statically false here
-        }
-        let any = session.arm_query(&frame_bad_lits);
-        // The frame's query CNF (bad literals + disjunction) is complete:
-        // fingerprint it, and inject the pack before the next solve.
-        warm.observe_frame(k, &mut session.backend);
-        if warm.skips(k) {
-            // Covered by a reused clean fact: mirror the prune side
-            // effect (the fact proves these bads unreachable) but spend
-            // no solver call.
-            if prune {
-                for &(_, lit) in &frame_bad_lits {
-                    session.backend.add_clause(&[!lit]);
-                }
-            }
-            warm.skipped = true;
-            return FrameOutcome::Clean;
-        }
-        self.stats.solver_calls += 1;
-        session.solve_armed(ts, pool, k, &frame_bad_lits, any, prune)
     }
 }
 
@@ -911,19 +788,40 @@ enum FrameOutcome {
     Cex(Counterexample),
     Clean,
     Unknown(StopReason),
+    /// Stopped by the per-call conflict budget; the query can be solved
+    /// again on the same session under a larger budget.
+    Stalled(Query),
 }
 
-/// Trace label for a frame outcome.
+/// One frame's armed query: its bad literals and the assumption literal
+/// standing for their disjunction.
+#[derive(Debug)]
+struct Query {
+    bad_lits: Vec<(usize, Lit)>,
+    any: Lit,
+}
+
+/// An incremental run stopped by its per-call conflict budget, kept for
+/// the next check to resume (see [`Bmc::check_under`]).
+#[derive(Debug)]
+struct Stalled<B: SatBackend> {
+    session: Session<B>,
+    /// The frame whose query stalled.
+    depth: usize,
+    query: Query,
+}
+
 /// Saturating microsecond count for the phase-timing stats.
 fn duration_micros(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
+/// Trace label for a frame outcome.
 fn outcome_code(o: &FrameOutcome) -> &'static str {
     match o {
         FrameOutcome::Cex(_) => "cex",
         FrameOutcome::Clean => "clean",
-        FrameOutcome::Unknown(_) => "unknown",
+        FrameOutcome::Unknown(_) | FrameOutcome::Stalled(_) => "unknown",
     }
 }
 
@@ -943,8 +841,8 @@ fn record_growth<B: SatBackend>(
 }
 
 /// One SAT encoding session: a backend plus the bit-blaster and unroller
-/// feeding it. Both BMC modes and the k-induction engine drive their
-/// encodings through this single path.
+/// feeding it. Both BMC modes drive their encodings through this single
+/// path.
 #[derive(Debug)]
 struct Session<B: SatBackend> {
     backend: B,
@@ -952,6 +850,8 @@ struct Session<B: SatBackend> {
     unroller: Unroller,
     /// Whether the backend preprocesses; gates interface freezing.
     preprocess: bool,
+    /// Backend statistics already exported into a check's stats.
+    reported: SolverStats,
 }
 
 impl<B: SatBackend + Default> Session<B> {
@@ -962,25 +862,35 @@ impl<B: SatBackend + Default> Session<B> {
         armed: &ArmedBudget,
     ) -> Self {
         let mut backend = B::default();
-        backend.set_conflict_budget(options.conflict_budget);
-        backend.set_budget(armed.clone());
         backend.set_preprocessing(options.preprocess);
-        if let Some(level) = options.escalation_level {
-            backend.set_escalation_level(level);
-        }
+        backend.set_portfolio(options.portfolio_workers, options.clause_sharing);
         if let Some(scope) = &options.metrics_scope {
             backend.set_metrics_scope(scope);
         }
-        Session {
+        let mut session = Session {
             backend,
             blaster: BitBlaster::new(),
             unroller: Unroller::new(ts, pool),
             preprocess: options.preprocess,
-        }
+            reported: SolverStats::default(),
+        };
+        session.set_effort(options, armed);
+        session
     }
 }
 
 impl<B: SatBackend> Session<B> {
+    /// Pushes the per-check effort settings into the backend: the
+    /// per-call conflict budget, the armed budget and the escalation
+    /// hint.
+    fn set_effort(&mut self, options: &BmcOptions, armed: &ArmedBudget) {
+        self.backend.set_conflict_budget(options.conflict_budget);
+        self.backend.set_budget(armed.clone());
+        if let Some(level) = options.escalation_level {
+            self.backend.set_escalation_level(level);
+        }
+    }
+
     /// Unrolls to frame `k` and permanently asserts its constraints.
     fn encode_frame(&mut self, ts: &TransitionSystem, pool: &mut ExprPool, k: usize) {
         self.unroller.extend_to(ts, pool, k);
@@ -989,74 +899,69 @@ impl<B: SatBackend> Session<B> {
         }
     }
 
-    /// Bit-blasts the selected bads of frame `k` into one activation
-    /// literal per property, skipping statically-false bads.
-    fn frame_bad_lits(
-        &mut self,
-        pool: &mut ExprPool,
-        k: usize,
-        bad_idx: &[usize],
-    ) -> Vec<(usize, Lit)> {
-        let mut lits: Vec<(usize, Lit)> = Vec::new();
+    /// Arms frame `k`'s query: bit-blasts the selected bads into one
+    /// activation literal each, freezes the live interface (when the
+    /// backend preprocesses) and encodes their disjunction. `None` when
+    /// every selected bad is statically false at this depth.
+    fn arm_frame(&mut self, pool: &mut ExprPool, k: usize, bad_idx: &[usize]) -> Option<Query> {
+        let mut bad_lits: Vec<(usize, Lit)> = Vec::new();
         for &bi in bad_idx {
             let bexpr = self.unroller.frames[k].bads[bi];
             if pool.as_const(bexpr).is_some_and(|v| !v.is_true()) {
                 continue; // statically false at this depth
             }
             let lit = self.blaster.literal(pool, bexpr, &mut self.backend);
-            lits.push((bi, lit));
+            bad_lits.push((bi, lit));
         }
-        lits
-    }
-
-    /// Prepares frame `k`'s query: freezes the live interface (when the
-    /// backend preprocesses) and encodes the bad disjunction, returning
-    /// the assumption literal. Splitting this from [`Session::solve_armed`]
-    /// gives warm-start a point where the frame's CNF is complete but the
-    /// query has not yet run.
-    fn arm_query(&mut self, frame_bad_lits: &[(usize, Lit)]) -> Lit {
+        if bad_lits.is_empty() {
+            return None;
+        }
         if self.preprocess {
-            self.freeze_interface(frame_bad_lits);
+            self.freeze_interface(&bad_lits);
         }
-        self.encode_disjunction(frame_bad_lits)
+        let any = self.encode_disjunction(&bad_lits);
+        Some(Query { bad_lits, any })
     }
 
-    /// Solves "any of this frame's bads" under the assumption prepared by
-    /// [`Session::arm_query`].
+    /// Solves an armed query. A stop on the per-call conflict budget
+    /// hands the query back as [`FrameOutcome::Stalled`].
     fn solve_armed(
         &mut self,
         ts: &TransitionSystem,
         pool: &ExprPool,
         k: usize,
-        frame_bad_lits: &[(usize, Lit)],
-        any: Lit,
+        query: Query,
         prune: bool,
     ) -> FrameOutcome {
-        match self.backend.solve_under(&[any]) {
+        match self.backend.solve_under(&[query.any]) {
             SolveResult::Sat => FrameOutcome::Cex(self.unroller.extract_cex(
                 ts,
                 pool,
                 &self.blaster,
                 &self.backend,
                 k,
-                frame_bad_lits,
+                &query.bad_lits,
             )),
             SolveResult::Unsat => {
                 if prune {
-                    // This depth is proven violation-free: fix the
-                    // frame's bad literals to false permanently (sound:
-                    // they are unreachable).
-                    for &(_, lit) in frame_bad_lits {
-                        self.backend.add_clause(&[!lit]);
-                    }
+                    self.prune(&query);
                 }
                 FrameOutcome::Clean
             }
             // Backends predating budget support report no reason; the
             // only limit they can hit is the legacy conflict budget.
-            SolveResult::Unknown => {
-                FrameOutcome::Unknown(self.backend.stop_reason().unwrap_or(StopReason::Conflicts))
-            }
+            SolveResult::Unknown => match self.backend.stop_reason() {
+                None | Some(StopReason::Conflicts) => FrameOutcome::Stalled(query),
+                Some(reason) => FrameOutcome::Unknown(reason),
+            },
+        }
+    }
+
+    /// Fixes a query's bad literals to false permanently (sound once the
+    /// depth is proven violation-free: they are unreachable).
+    fn prune(&mut self, query: &Query) {
+        for &(_, lit) in &query.bad_lits {
+            self.backend.add_clause(&[!lit]);
         }
     }
 
@@ -1098,13 +1003,17 @@ impl<B: SatBackend> Session<B> {
         (self.backend.num_clauses(), self.backend.num_vars())
     }
 
-    fn export_stats(&self, stats: &mut BmcStats) {
+    /// Reports the session's size and the solver effort spent since the
+    /// previous report. A resumed session's backend counters cover every
+    /// check it served, so each conflict is counted once. The effort is
+    /// absorbed (summed), not overwritten: monolithic runs export one
+    /// fresh session per depth.
+    fn export_stats(&mut self, stats: &mut BmcStats) {
         stats.clauses = self.backend.num_clauses();
         stats.variables = self.backend.num_vars();
-        // Absorb (sum) rather than overwrite: monolithic runs export one
-        // fresh session per depth, and every depth's effort must be
-        // accounted for in the final aggregate.
-        stats.solver.absorb(&self.backend.stats());
+        let total = self.backend.stats();
+        stats.solver.absorb(&total.since(&self.reported));
+        self.reported = total;
     }
 }
 
@@ -1531,16 +1440,14 @@ mod tests {
         assert_eq!(cex.depth, 9);
     }
 
-    #[test]
-    fn conflict_budget_yields_unknown() {
-        // A factoring-style instance (x * y == semiprime with both
-        // factors nontrivial) needs real search, so a 1-conflict budget
-        // cannot finish it.
-        let mut p = ExprPool::new();
+    /// A factoring-style instance (x * y == semiprime with both factors
+    /// nontrivial): satisfiable at every depth, but only after real
+    /// search.
+    fn factoring_system(p: &mut ExprPool) -> TransitionSystem {
         let mut ts = TransitionSystem::new("hard");
-        let x = ts.add_input(&mut p, "x", 16);
-        let y = ts.add_input(&mut p, "y", 16);
-        let dummy = ts.add_register(&mut p, "dummy", 1, 0);
+        let x = ts.add_input(p, "x", 16);
+        let y = ts.add_input(p, "y", 16);
+        let dummy = ts.add_register(p, "dummy", 1, 0);
         let de = p.var_expr(dummy);
         ts.set_next(dummy, de);
         let xe = p.var_expr(x);
@@ -1553,6 +1460,15 @@ mod tests {
         let yg = p.ugt(ye, one);
         let hard = p.and_all([hit, xg, yg]);
         ts.add_bad("factorable", hard);
+        ts
+    }
+
+    #[test]
+    fn conflict_budget_yields_unknown() {
+        // The factoring instance needs real search, so a 1-conflict
+        // budget cannot finish it.
+        let mut p = ExprPool::new();
+        let ts = factoring_system(&mut p);
         let mut bmc = Bmc::new(
             &ts,
             BmcOptions::default()
@@ -1758,54 +1674,28 @@ mod tests {
         assert!(!result.is_clean());
     }
 
-    /// Runs `counter_system(target)` at `bound` in warm mode and returns
-    /// (result, stats, exported pack).
-    fn warm_run(target: u64, bound: usize, warm: WarmStart) -> (BmcResult, BmcStats, LearntPack) {
+    /// Runs `counter_system(target)` at `bound` with a warm-start input
+    /// and returns (result, stats).
+    fn warm_run(target: u64, bound: usize, warm: WarmStart) -> (BmcResult, BmcStats) {
         let mut p = ExprPool::new();
         let ts = counter_system(&mut p, target);
         let mut bmc = Bmc::new(&ts, BmcOptions::default().with_max_bound(bound));
         bmc.set_warm_start(warm);
         let result = bmc.check(&ts, &mut p);
-        let pack = bmc.take_learnt_export().expect("warm mode exports a pack");
-        (result, bmc.stats(), pack)
-    }
-
-    #[test]
-    fn warm_start_fingerprints_are_deterministic_and_pack_reimports() {
-        let (r1, _, pack1) = warm_run(12, 5, WarmStart::default());
-        assert!(r1.is_clean());
-        assert_eq!(pack1.frame_vars.len(), 6, "one fingerprint per frame");
-
-        // A second run over the identical system reproduces the exact
-        // frame fingerprints, so the whole pack validates and is
-        // installed (nothing discarded).
-        let imported = pack1.clauses.len() as u64;
-        let warm = WarmStart {
-            skip_to: None,
-            pack: Some(pack1.clone()),
-        };
-        let (r2, stats, pack2) = warm_run(12, 5, warm);
-        assert!(r2.is_clean());
-        assert_eq!(pack2.frame_vars, pack1.frame_vars);
-        assert_eq!(stats.solver.learnt_discarded, 0);
-        assert_eq!(stats.solver.learnt_imported, imported);
+        (result, bmc.stats())
     }
 
     #[test]
     fn warm_start_skips_reused_clean_prefix() {
-        let (r1, cold, pack) = warm_run(12, 5, WarmStart::default());
+        let (r1, cold) = warm_run(12, 5, WarmStart::default());
         assert!(r1.is_clean());
         assert!(cold.solver_calls > 2);
 
         // Deeper re-run with frames 0..=5 covered by the reused verdict:
         // only the new frames are solved, and the verdict matches a cold
         // run at the same bound.
-        let warm = WarmStart {
-            skip_to: Some(5),
-            pack: Some(pack),
-        };
-        let (r2, stats, _) = warm_run(12, 7, warm);
-        let (r_cold, _, _) = warm_run(12, 7, WarmStart::default());
+        let (r2, stats) = warm_run(12, 7, WarmStart { skip_to: Some(5) });
+        let (r_cold, _) = warm_run(12, 7, WarmStart::default());
         assert_eq!(r2.is_clean(), r_cold.is_clean());
         assert!(r2.is_clean());
         assert_eq!(stats.solver_calls, 2, "only frames 6 and 7 are solved");
@@ -1813,55 +1703,48 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_with_pack_preserves_counterexamples() {
-        let (r1, _, pack) = warm_run(3, 10, WarmStart::default());
-        let d1 = r1.counterexample().expect("bug").depth;
-        let warm = WarmStart {
-            skip_to: None,
-            pack: Some(pack),
-        };
-        let (r2, stats, _) = warm_run(3, 10, warm);
-        let cex = r2.counterexample().expect("warm run must find the bug");
-        assert_eq!(cex.depth, d1);
+    fn conflict_budget_stall_resumes_the_same_solver() {
         let mut p = ExprPool::new();
-        let ts = counter_system(&mut p, 3);
-        assert!(cex.replay(&ts, &p), "warm-found witness must replay");
-        assert_eq!(stats.solver.learnt_discarded, 0);
-    }
+        let ts = factoring_system(&mut p);
+        let mut bmc = Bmc::new(
+            &ts,
+            BmcOptions::default()
+                .with_max_bound(6)
+                .with_conflict_budget(Some(1)),
+        );
+        let armed = ArmedBudget::unlimited();
+        let stalled = bmc.check_under(&ts, &mut p, &armed);
+        assert!(
+            matches!(
+                stalled,
+                BmcResult::Unknown {
+                    bound: 0,
+                    reason: StopReason::Conflicts
+                }
+            ),
+            "{stalled:?}"
+        );
+        let first = bmc.stats();
+        assert!(first.solver.conflicts > 0);
 
-    #[test]
-    fn warm_start_discards_mismatched_pack() {
-        let (_, _, mut pack) = warm_run(12, 5, WarmStart::default());
-        // Tamper with a mid-run fingerprint and make sure the pack has
-        // something to discard even if the toy run learnt nothing.
-        pack.frame_vars[2] += 1;
-        pack.clauses.push(vec![0, 2]);
-        pack.clauses.push(vec![1, 3, 5]);
-        let expected = pack.clauses.len() as u64;
-        let warm = WarmStart {
-            skip_to: None,
-            pack: Some(pack),
-        };
-        let (r, stats, _) = warm_run(12, 5, warm);
-        assert!(r.is_clean(), "a discarded pack never changes the verdict");
-        assert_eq!(stats.solver.learnt_imported, 0);
-        assert_eq!(stats.solver.learnt_discarded, expected);
-    }
-
-    #[test]
-    fn warm_start_discards_pack_from_a_shallower_run() {
-        // The donor stopped at frame 3; a bound-2 re-run never reaches
-        // the pack's final frame, so the pack is dropped, not injected.
-        let (_, _, mut pack) = warm_run(12, 3, WarmStart::default());
-        pack.clauses.push(vec![0, 2]);
-        let expected = pack.clauses.len() as u64;
-        let warm = WarmStart {
-            skip_to: None,
-            pack: Some(pack),
-        };
-        let (r, stats, _) = warm_run(12, 2, warm);
-        assert!(r.is_clean());
-        assert_eq!(stats.solver.learnt_imported, 0);
-        assert_eq!(stats.solver.learnt_discarded, expected);
+        // Lift the budget: the next check re-solves the stalled query on
+        // the same solver instead of starting over.
+        bmc.set_effort(None, None);
+        let mut backend_conflicts = 0;
+        let result = bmc.check_inspecting(&ts, &mut p, &armed, |b| {
+            backend_conflicts = b.stats().conflicts;
+        });
+        let cex = result.counterexample().expect("58 483 factors");
+        assert_eq!(cex.depth, 0);
+        assert!(cex.replay(&ts, &p));
+        let second = bmc.stats();
+        assert_eq!(second.solver_calls, 1, "only the stalled query is solved");
+        assert_eq!(second.variables, first.variables, "no frame re-encoded");
+        // The backend's counters cover both checks; each check reports
+        // only the conflicts it spent.
+        assert_eq!(
+            first.solver.conflicts + second.solver.conflicts,
+            backend_conflicts
+        );
     }
 }

@@ -115,9 +115,8 @@ pub enum Command {
         /// Write the full per-obligation report (plus the metrics
         /// snapshot) as JSON to this path.
         report_json: Option<String>,
-        /// Root a durable artifact store here: verdicts and learnt packs
-        /// from earlier runs warm this one, and this run's are flushed
-        /// back.
+        /// Root a durable artifact store here: verdicts from earlier runs
+        /// warm this one, and this run's are flushed back.
         store_dir: Option<String>,
     },
     /// `aqed conventional <case>`
@@ -387,8 +386,8 @@ USAGE:
                                        missed a cone, answers those
                                        obligations from disk (bugs replay-
                                        validated against the new design),
-                                       and changed cones import learnt-clause
-                                       packs from the previous run.
+                                       and a deeper re-run skips the depths
+                                       a stored clean verdict covers.
                                        exit codes: 0 clean, 1 bug found,
                                        2 inconclusive, degraded, or usage error
   aqed conventional <case>             run the conventional simulation flow

@@ -9,24 +9,18 @@
 //! the same sliced model, whichever request built it and whatever the
 //! rest of the design looks like.
 //!
-//! Two artifact kinds are stored:
-//!
-//! * **Verdicts** — per-key facts merged across runs: the deepest bound
-//!   known clean and the shallowest known counterexample. Only
-//!   *definitive* outcomes are recorded (`Clean`, validated `Bug`);
-//!   `Inconclusive`/`Errored` depend on budgets and are never cached.
-//!   Because BMC explores depth by depth, a stored bug's depth is
-//!   minimal, so a hit reproduces exactly the verdict a cold run would
-//!   compute — a bug at depth `d` answers any request with bound ≥ `d`,
-//!   and a slice clean to bound `k` answers any request with bound ≤
-//!   `k`. An unchanged design hits on every obligation; after an edit,
-//!   every obligation whose cone the edit missed still hits.
-//! * **Learnt-clause packs** — per-key clause cores exported from a
-//!   finished BMC run, re-injected on the next run over the identical
-//!   slice. Packs are hints, never facts: injection re-checks per-frame
-//!   variable fingerprints and discards on any mismatch, and an
-//!   injected clause is redundant with respect to the (identical) CNF,
-//!   so a wrong pack can cost time but not a verdict.
+//! One artifact kind is stored: per-key *verdict facts* merged across
+//! runs, the deepest bound known clean and the shallowest known
+//! counterexample. Only *definitive* outcomes are recorded (`Clean`,
+//! validated `Bug`); `Inconclusive`/`Errored` depend on budgets and are
+//! never cached. Because BMC explores depth by depth, a stored bug's
+//! depth is minimal, so a hit reproduces exactly the verdict a cold run
+//! would compute — a bug at depth `d` answers any request with bound ≥
+//! `d`, and a slice clean to bound `k` answers any request with bound ≤
+//! `k`. An unchanged design hits on every obligation; after an edit,
+//! every obligation whose cone the edit missed still hits. A clean fact
+//! that does not cover a request still lets it skip re-solving the
+//! proven prefix ([`ArtifactStore::cone_clean_prefix`]).
 //!
 //! Soundness: an obligation's verdict is fully determined by its slice.
 //! The slice keeps every constraint, and COI slicing is verdict-exact,
@@ -41,7 +35,7 @@
 //! # Durability
 //!
 //! A store opened with [`ArtifactStore::open`] additionally journals
-//! every definitive verdict and pack to disk (append-only, checksummed,
+//! every definitive verdict to disk (append-only, checksummed,
 //! snapshot-compacted — see [`crate::persist`]) and recovers them on
 //! the next open, so a daemon restart — graceful or SIGKILL — starts
 //! warm. Counterexamples are persisted positionally against the slice
@@ -52,7 +46,7 @@
 use crate::persist::{DiskJournal, PersistedCex, Record, StoreOptions};
 use crate::verify::CheckOutcome;
 use aqed_bitvec::Bv;
-use aqed_bmc::{Counterexample, LearntPack};
+use aqed_bmc::Counterexample;
 use aqed_expr::{ExprPool, VarId};
 use aqed_obs::json::Json;
 use aqed_obs::metrics;
@@ -100,8 +94,6 @@ struct ObligationFact {
 pub struct ArtifactStore {
     /// (cone hash, bad name) → merged obligation facts.
     cone_outcomes: Mutex<HashMap<(u64, String), ObligationFact>>,
-    /// (cone hash, bad name) → exported learnt-clause core.
-    packs: Mutex<HashMap<(u64, String), LearntPack>>,
     /// Disk journal for persistent stores. Lock ordering: this lock is
     /// never acquired while holding a map lock *except* transiently
     /// inside [`ArtifactStore::flush`], which takes it first — so map
@@ -109,8 +101,6 @@ pub struct ArtifactStore {
     disk: Option<Mutex<DiskJournal>>,
     cone_hits: AtomicU64,
     cone_misses: AtomicU64,
-    packs_served: AtomicU64,
-    packs_recorded: AtomicU64,
     recovered: AtomicU64,
     truncated: AtomicU64,
     flushes: AtomicU64,
@@ -216,21 +206,6 @@ impl ArtifactStore {
             } => {
                 self.merge_bug(cone, &bad_name, cex);
             }
-            Record::Learnts {
-                cone,
-                bad_name,
-                frame_vars,
-                clauses,
-            } => {
-                self.merge_pack(
-                    cone,
-                    &bad_name,
-                    LearntPack {
-                        frame_vars,
-                        clauses,
-                    },
-                );
-            }
         }
     }
 
@@ -245,18 +220,6 @@ impl ArtifactStore {
     #[must_use]
     pub fn cone_misses(&self) -> u64 {
         self.cone_misses.load(Ordering::Relaxed)
-    }
-
-    /// Learnt-clause packs handed to warm-starting runs so far.
-    #[must_use]
-    pub fn packs_served(&self) -> u64 {
-        self.packs_served.load(Ordering::Relaxed)
-    }
-
-    /// Learnt-clause packs donated by finished runs so far.
-    #[must_use]
-    pub fn packs_recorded(&self) -> u64 {
-        self.packs_recorded.load(Ordering::Relaxed)
     }
 
     /// Records recovered from disk at open (0 for in-memory stores).
@@ -289,12 +252,6 @@ impl ArtifactStore {
         lock(&self.cone_outcomes).len()
     }
 
-    /// Learnt-clause packs currently held.
-    #[must_use]
-    pub fn pack_count(&self) -> usize {
-        lock(&self.packs).len()
-    }
-
     /// A point-in-time JSON summary of the store, for health endpoints.
     /// Persistent stores additionally report their on-disk footprint
     /// (journal/snapshot bytes and journal record count).
@@ -303,11 +260,8 @@ impl ArtifactStore {
         let mut fields = vec![
             ("persistent", Json::Bool(self.is_persistent())),
             ("cone_outcomes", Json::num(self.cone_outcome_count() as u64)),
-            ("learnt_packs", Json::num(self.pack_count() as u64)),
             ("cone_hits", Json::num(self.cone_hits())),
             ("cone_misses", Json::num(self.cone_misses())),
-            ("packs_served", Json::num(self.packs_served())),
-            ("packs_recorded", Json::num(self.packs_recorded())),
             ("recovered", Json::num(self.recovered_records())),
             ("truncated", Json::num(self.truncated_records())),
             ("flushes", Json::num(self.flushes())),
@@ -377,14 +331,6 @@ impl ArtifactStore {
                 });
             }
         }
-        for ((cone, bad_name), pack) in lock(&self.packs).iter() {
-            records.push(Record::Learnts {
-                cone: *cone,
-                bad_name: bad_name.clone(),
-                frame_vars: pack.frame_vars.clone(),
-                clauses: pack.clauses.clone(),
-            });
-        }
         records
     }
 
@@ -427,31 +373,6 @@ impl ArtifactStore {
             fact.bug = Some(bug);
         }
         shallower
-    }
-
-    /// Merges a learnt-clause pack. A pack with more frames replaces a
-    /// shallower one (deeper knowledge); at equal depth the newer pack
-    /// wins (fresher activity ordering). Returns whether the table
-    /// changed.
-    fn merge_pack(&self, cone: u64, bad_name: &str, pack: LearntPack) -> bool {
-        if pack.is_empty() {
-            return false;
-        }
-        let mut packs = lock(&self.packs);
-        match packs.entry((cone, bad_name.to_string())) {
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(pack);
-                true
-            }
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                if pack.frame_vars.len() >= e.get().frame_vars.len() {
-                    e.insert(pack);
-                    true
-                } else {
-                    false
-                }
-            }
-        }
     }
 
     /// Answers one obligation from the store if a definitive fact for
@@ -624,43 +545,6 @@ impl ArtifactStore {
                 }
             }
             CheckOutcome::Inconclusive { .. } | CheckOutcome::Errored { .. } => {}
-        }
-    }
-
-    /// The learnt-clause pack for `(cone, bad)`, if one is stored.
-    /// Purely a warm-start hint: the consumer re-validates per-frame
-    /// fingerprints and variable bounds at injection time.
-    #[must_use]
-    pub fn lookup_learnt_pack(&self, cone: u64, bad_name: &str) -> Option<LearntPack> {
-        let pack = lock(&self.packs)
-            .get(&(cone, bad_name.to_string()))
-            .cloned();
-        if pack.is_some() {
-            self.packs_served.fetch_add(1, Ordering::Relaxed);
-            if aqed_obs::enabled() {
-                metrics::global().counter("artifact.pack.served").inc();
-            }
-        }
-        pack
-    }
-
-    /// Donates a finished run's exported learnt-clause pack (and
-    /// journals it). Empty packs are dropped; a pack covering fewer
-    /// frames than the stored one never replaces it.
-    pub fn record_learnt_pack(&self, cone: u64, bad_name: &str, pack: LearntPack) {
-        let frame_vars = pack.frame_vars.clone();
-        let clauses = pack.clauses.clone();
-        if self.merge_pack(cone, bad_name, pack) {
-            self.packs_recorded.fetch_add(1, Ordering::Relaxed);
-            if aqed_obs::enabled() {
-                metrics::global().counter("artifact.pack.recorded").inc();
-            }
-            self.journal([Record::Learnts {
-                cone,
-                bad_name: bad_name.to_string(),
-                frame_vars,
-                clauses,
-            }]);
         }
     }
 }
@@ -889,40 +773,7 @@ mod tests {
     }
 
     #[test]
-    fn learnt_packs_merge_by_depth_and_ignore_empties() {
-        let store = ArtifactStore::new();
-        let name = "BAD_FC";
-        let deep = LearntPack {
-            frame_vars: vec![10, 20, 30],
-            clauses: vec![vec![0, 3], vec![5]],
-        };
-        store.record_learnt_pack(7, name, deep.clone());
-        assert_eq!(store.lookup_learnt_pack(7, name), Some(deep.clone()));
-        assert_eq!(store.lookup_learnt_pack(7, "other"), None);
-        assert_eq!(store.lookup_learnt_pack(8, name), None);
-        // A shallower pack never replaces a deeper one.
-        let shallow = LearntPack {
-            frame_vars: vec![10, 20],
-            clauses: vec![vec![1]],
-        };
-        store.record_learnt_pack(7, name, shallow);
-        assert_eq!(store.lookup_learnt_pack(7, name), Some(deep));
-        // Same depth: the fresher pack wins.
-        let fresh = LearntPack {
-            frame_vars: vec![10, 20, 30],
-            clauses: vec![vec![9]],
-        };
-        store.record_learnt_pack(7, name, fresh.clone());
-        assert_eq!(store.lookup_learnt_pack(7, name), Some(fresh));
-        // Empty packs are dropped on the floor.
-        store.record_learnt_pack(9, name, LearntPack::default());
-        assert_eq!(store.lookup_learnt_pack(9, name), None);
-        assert_eq!(store.pack_count(), 1);
-        assert_eq!(store.packs_recorded(), 2);
-    }
-
-    #[test]
-    fn cone_facts_and_packs_persist_across_reopen() {
+    fn cone_facts_persist_across_reopen() {
         let dir = std::env::temp_dir().join(format!("aqed-artifact-cone-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let name = "counter_hits_target";
@@ -930,10 +781,6 @@ mod tests {
         let a = split_system(&mut p1, 2, 1);
         let sa = aqed_tsys::coi_slice(&a, &p1, &[0]);
         let key = cone_hash(&sa, &p1);
-        let pack = LearntPack {
-            frame_vars: vec![4, 9],
-            clauses: vec![vec![2, 4]],
-        };
         {
             let store = ArtifactStore::open(&dir).expect("open fresh store");
             store.record_cone_outcome(key, name, &CheckOutcome::Clean { bound: 1 }, &sa);
@@ -942,12 +789,10 @@ mod tests {
                 counterexample: counter_cex(&a, &p1, 2),
             };
             store.record_cone_outcome(key, name, &bug, &sa);
-            store.record_learnt_pack(key, name, pack.clone());
             // Drop flushes the journal.
         }
         let store = ArtifactStore::open(&dir).expect("reopen store");
         assert_eq!(store.truncated_records(), 0);
-        assert_eq!(store.lookup_learnt_pack(key, name), Some(pack));
         // The recovered bug still passes the replay gate on an edited
         // design with the same cone.
         let mut p2 = ExprPool::new();

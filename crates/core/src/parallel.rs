@@ -40,7 +40,8 @@
 //!   `degraded` flag instead of aborting the run.
 //! * **Retry escalation** — an obligation stopped by its conflict budget
 //!   is retried with the budget doubled, up to
-//!   [`ScheduleOptions::max_attempts`].
+//!   [`ScheduleOptions::max_attempts`]. A retry resumes the solver that
+//!   stalled, keeping its learnt clauses and encoded frames.
 //! * **Witness self-validation** — every SAT verdict is replayed on the
 //!   concrete simulator before being reported; a mismatch becomes a loud
 //!   `UnsoundWitness` error, never a silently trusted bug report.
@@ -48,8 +49,7 @@
 use crate::artifact::{cone_hash, ArtifactStore};
 use crate::verify::{validated_bug, CheckOutcome, PropertyKind};
 use aqed_bmc::{
-    ArmedBudget, Bmc, BmcOptions, BmcResult, BmcStats, Counterexample, LearntPack, StopReason,
-    WarmStart,
+    ArmedBudget, Bmc, BmcOptions, BmcResult, BmcStats, Counterexample, StopReason, WarmStart,
 };
 use aqed_expr::ExprPool;
 use aqed_obs::obs_event;
@@ -102,14 +102,13 @@ pub struct ScheduleOptions {
     /// a job running longer has its private stop handle tripped and
     /// reports `Inconclusive {reason: Cancelled}`.
     pub obligation_timeout: Option<Duration>,
-    /// Warm-start solving hints (default on; inert without an artifact
+    /// Proven-prefix skipping (default on; inert without an artifact
     /// store or with COI slicing disabled). An obligation the store
     /// cannot answer outright skips re-solving the frames a stored
-    /// clean fact for its cone key already covers, injects the stored
-    /// learnt-clause pack before the first unsolved frame, and donates
-    /// its own pack. Store verdict lookups and donations never depend
-    /// on this switch. Verdicts are identical with and without it; see
-    /// `ArtifactStore` for the soundness argument.
+    /// clean fact for its cone key already covers. Store verdict
+    /// lookups and donations never depend on this switch. Verdicts are
+    /// identical with and without it; see `ArtifactStore` for the
+    /// soundness argument.
     pub warm_start: bool,
 }
 
@@ -155,7 +154,8 @@ impl ScheduleOptions {
         self
     }
 
-    /// Returns the options with warm-start hints enabled or disabled.
+    /// Returns the options with proven-prefix skipping enabled or
+    /// disabled.
     #[must_use]
     pub fn with_warm_start(mut self, warm_start: bool) -> Self {
         self.warm_start = warm_start;
@@ -170,9 +170,9 @@ impl ScheduleOptions {
 pub struct RunContext {
     /// Cross-request artifact cache. When set, every obligation derives
     /// its cone key, is answered without solving when the store holds a
-    /// definitive verdict for that key, and otherwise donates its fresh
-    /// verdict back (plus warm-start hints per
-    /// [`ScheduleOptions::warm_start`]).
+    /// definitive verdict for that key, otherwise skips the prefix a
+    /// stored clean fact proves (per [`ScheduleOptions::warm_start`]),
+    /// and donates its fresh verdict back.
     pub artifacts: Option<Arc<ArtifactStore>>,
     /// External cancellation: the run's budget is armed with a child of
     /// this handle, so tripping it (Ctrl-C, a client cancel request)
@@ -387,8 +387,8 @@ pub fn verify_obligations_scheduled<B: SatBackend + Default>(
 }
 
 /// [`verify_obligations_scheduled`] plus cross-request context: an
-/// optional [`ArtifactStore`] (definitive-verdict cache and warm-start
-/// hints) and an optional external [`StopHandle`] for cancellation
+/// optional [`ArtifactStore`] (definitive-verdict cache and proven
+/// prefixes) and an optional external [`StopHandle`] for cancellation
 /// from outside the run (signal handlers, a server's per-job cancel).
 ///
 /// With a store, each obligation slices the composed system to its cone
@@ -637,16 +637,12 @@ fn worker_loop<B: SatBackend + Default>(
                     cache_hit: true,
                 }
             } else {
-                // Frame skipping and learnt packs assume BMC solves
-                // exactly the slice the key names, so they need COI on.
-                let hints = sched.warm_start && options.coi;
-                let warm = keyed
+                // Frame skipping assumes BMC solves exactly the slice the
+                // key names, so it needs COI on.
+                let skip_to = keyed
                     .as_ref()
-                    .filter(|_| hints)
-                    .map(|(s, cone, _)| WarmStart {
-                        skip_to: s.cone_clean_prefix(*cone, &ob.bad_name),
-                        pack: s.lookup_learnt_pack(*cone, &ob.bad_name),
-                    });
+                    .filter(|_| sched.warm_start && options.coi)
+                    .and_then(|(s, cone, _)| s.cone_clean_prefix(*cone, &ob.bad_name));
                 let job = armed.child();
                 let started = Instant::now();
                 lock_unpoisoned(active).insert(idx, (started, job.stop_handle().clone()));
@@ -663,38 +659,32 @@ fn worker_loop<B: SatBackend + Default>(
                     sp.record("property", ob.property.to_string());
                 }
                 let caught = catch_unwind(AssertUnwindSafe(|| {
-                    check_obligation::<B>(composed, pool, options, ob, &job, sched, coi_cache, warm)
+                    check_obligation::<B>(
+                        composed, pool, options, ob, &job, sched, coi_cache, skip_to,
+                    )
                 }));
                 lock_unpoisoned(active).remove(&idx);
-                let (report, export) = match caught {
-                    Ok(r) => r,
-                    Err(payload) => {
-                        obs_event!("obligation.panicked", index = ob.bad_index as u64);
-                        let report = ObligationReport {
-                            obligation: ob.clone(),
-                            outcome: CheckOutcome::Errored {
-                                message: format!(
-                                    "worker panicked: {}",
-                                    panic_message(payload.as_ref())
-                                ),
-                            },
-                            stats: BmcStats::default(),
-                            attempts: 1,
-                            wall: started.elapsed(),
-                            cache_hit: false,
-                        };
-                        (report, None)
+                let report = caught.unwrap_or_else(|payload| {
+                    obs_event!("obligation.panicked", index = ob.bad_index as u64);
+                    ObligationReport {
+                        obligation: ob.clone(),
+                        outcome: CheckOutcome::Errored {
+                            message: format!(
+                                "worker panicked: {}",
+                                panic_message(payload.as_ref())
+                            ),
+                        },
+                        stats: BmcStats::default(),
+                        attempts: 1,
+                        wall: started.elapsed(),
+                        cache_hit: false,
                     }
-                };
+                });
                 // Donate a freshly computed definitive verdict (the store
-                // ignores budget-limited outcomes) and the exported
-                // learnt pack, so repeat requests and later edits outside
-                // this cone skip the solve.
+                // ignores budget-limited outcomes), so repeat requests and
+                // later edits outside this cone skip the solve.
                 if let Some((s, cone, slice)) = &keyed {
                     s.record_cone_outcome(*cone, &ob.bad_name, &report.outcome, slice);
-                    if let Some(pack) = export.filter(|_| hints) {
-                        s.record_learnt_pack(*cone, &ob.bad_name, pack);
-                    }
                 }
                 if sp.is_active() {
                     sp.record("outcome", outcome_code(&report.outcome));
@@ -744,13 +734,12 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 /// solver with the doubled budget instead.
 const PORTFOLIO_ESCALATION_RATE: f64 = 500.0;
 
-/// Runs one obligation to completion on its own pool clone and backend,
+/// Runs one obligation to completion on its own pool clone and checker,
 /// retrying with doubled conflict budgets while the schedule allows.
-/// `warm` seeds the first attempt's frame skipping and learnt-clause
-/// injection; retries re-warm themselves from the previous attempt
-/// (its proven-clean prefix and exported learnts), since every attempt
-/// encodes the identical CNF. Returns the report plus the final
-/// attempt's learnt-clause export for donation to the artifact store.
+/// `skip_to` is the proven-clean prefix the first attempt need not
+/// re-solve. Every retry resumes the solver its predecessor stalled
+/// (see [`Bmc::check_under`]), so it neither re-encodes a frame nor
+/// forgets a learnt clause.
 #[allow(clippy::too_many_arguments)]
 fn check_obligation<B: SatBackend + Default>(
     composed: &TransitionSystem,
@@ -760,39 +749,42 @@ fn check_obligation<B: SatBackend + Default>(
     armed: &ArmedBudget,
     sched: &ScheduleOptions,
     coi_cache: &Arc<CoiCache>,
-    mut warm: Option<WarmStart>,
-) -> (ObligationReport, Option<LearntPack>) {
+    skip_to: Option<usize>,
+) -> ObligationReport {
     let started = Instant::now();
     let mut local_pool = pool.clone();
     let mut stats = BmcStats::default();
     let mut attempts = 0u32;
     let mut conflict_budget = options.conflict_budget;
     let mut escalation = 0u32;
+    // Only steer backend escalation when the retry ladder is live:
+    // without a conflict budget there is nothing to exhaust, so a
+    // portfolio backend should apply its own default (race at full
+    // width immediately) rather than being pinned to one solver.
+    let steer = conflict_budget.is_some() && sched.max_attempts > 1;
+    let mut bmc_options = options.clone();
+    if bmc_options.metrics_scope.is_none() {
+        bmc_options.metrics_scope = Some(format!("prop={}", ob.property));
+    }
+    let mut bmc: Bmc<B> = Bmc::with_backend(composed, bmc_options);
+    bmc.set_coi_cache(Arc::clone(coi_cache));
+    bmc.select_bad_indices(composed, &[ob.bad_index]);
+    bmc.set_warm_start(WarmStart { skip_to });
     loop {
         attempts += 1;
-        let mut attempt_options = options.clone();
-        attempt_options.conflict_budget = conflict_budget;
-        // Only steer backend escalation when the retry ladder is live:
-        // without a conflict budget there is nothing to exhaust, so a
-        // portfolio backend should apply its own default (race at full
-        // width immediately) rather than being pinned to one solver.
-        if conflict_budget.is_some() && sched.max_attempts > 1 {
-            attempt_options.escalation_level = Some(escalation);
-        }
-        if attempt_options.metrics_scope.is_none() {
-            attempt_options.metrics_scope = Some(format!("prop={}", ob.property));
-        }
+        let level = if steer {
+            Some(escalation)
+        } else {
+            options.escalation_level
+        };
+        bmc.set_effort(conflict_budget, level);
         let attempt_started = Instant::now();
-        let conflicts_before = stats.solver.conflicts;
-        let mut bmc: Bmc<B> = Bmc::with_backend(composed, attempt_options);
-        bmc.set_coi_cache(Arc::clone(coi_cache));
-        bmc.select_bad_indices(composed, &[ob.bad_index]);
-        if let Some(w) = warm.take() {
-            bmc.set_warm_start(w);
-        }
         let result = bmc.check_under(composed, &mut local_pool, armed);
-        stats.absorb(&bmc.stats());
-        let export = bmc.take_learnt_export();
+        let attempt = bmc.stats();
+        stats.absorb(&attempt);
+        // Sizes describe the solver at the end of the run, the last
+        // attempt's; an incremental retry resumes the same solver.
+        (stats.clauses, stats.variables) = (attempt.clauses, attempt.variables);
         let outcome = match result {
             BmcResult::Counterexample(cex) => {
                 validated_bug(composed, &local_pool, ob.property, cex)
@@ -808,16 +800,9 @@ fn check_obligation<B: SatBackend + Default>(
                     && armed.poll().is_none()
                 {
                     conflict_budget = conflict_budget.map(|b| b.saturating_mul(2));
-                    // Self-warm the retry: frames below the stall point
-                    // are proven clean, and the identical re-encoding
-                    // can absorb the learnts this attempt derived.
-                    warm = Some(WarmStart {
-                        skip_to: bound.checked_sub(1),
-                        pack: export.clone().filter(|p| !p.is_empty()),
-                    });
-                    let delta = stats.solver.conflicts.saturating_sub(conflicts_before);
                     #[allow(clippy::cast_precision_loss)]
-                    let rate = delta as f64 / attempt_started.elapsed().as_secs_f64().max(1e-6);
+                    let rate = attempt.solver.conflicts as f64
+                        / attempt_started.elapsed().as_secs_f64().max(1e-6);
                     if rate >= PORTFOLIO_ESCALATION_RATE {
                         escalation += 1;
                         obs_event!(
@@ -848,7 +833,7 @@ fn check_obligation<B: SatBackend + Default>(
             },
             attempts = u64::from(attempts)
         );
-        let report = ObligationReport {
+        return ObligationReport {
             obligation: ob.clone(),
             outcome,
             stats,
@@ -856,7 +841,6 @@ fn check_obligation<B: SatBackend + Default>(
             wall: started.elapsed(),
             cache_hit: false,
         };
-        return (report, export.filter(|p| !p.is_empty()));
     }
 }
 

@@ -5,9 +5,9 @@
 //!
 //! A store directory holds at most three files:
 //!
-//! * `journal.aqed` — append-only record log. Every store mutation
-//!   (definitive verdict, new learnt-clause pack) becomes one record
-//!   appended here; a crash loses only records not yet flushed.
+//! * `journal.aqed` — append-only record log. Every store mutation (a
+//!   definitive verdict that grew a fact) becomes one record appended
+//!   here; a crash loses only records not yet flushed.
 //! * `snapshot.aqed` — the store state as of the last compaction, in
 //!   the same record format. Loading replays the snapshot first, then
 //!   the journal on top (replay is idempotent, so records present in
@@ -48,10 +48,8 @@
 //! raw `VarId`s: counterexamples are stored *positionally* — indices
 //! into the system's `inputs ++ states` declaration order — so a record
 //! written by one process replays in any process that rebuilds the same
-//! design, regardless of pool layout. Learnt-clause cores *are*
-//! persisted ([`Record::Learnts`]), but only as redundant warm-start
-//! hints gated by cone-content identity plus frame fingerprints; losing
-//! one costs a cold solve, never a verdict.
+//! design, regardless of pool layout. Learnt clauses are not persisted
+//! either: the store holds verdict facts only.
 //!
 //! # Format versions
 //!
@@ -60,9 +58,10 @@
 //! build's, older or newer, exactly as at damage: a store written by
 //! another format version opens as an empty store (its journal is
 //! truncated and restarted), never fails to open, and never has one of
-//! its records served. Version 2 keys every verdict by cone hash;
-//! version 1 also held whole-design verdicts and COI cones. Unknown
-//! `"k"` values are damage by construction.
+//! its records served. Version 3 holds cone-keyed verdicts only;
+//! version 2 also held learnt-clause packs, and version 1 whole-design
+//! verdicts and COI cones. Unknown `"k"` values are damage by
+//! construction.
 
 use crate::verify::PropertyKind;
 use aqed_bitvec::Bv;
@@ -80,7 +79,7 @@ pub const JOURNAL_FILE: &str = "journal.aqed";
 /// The last compacted snapshot inside a store directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.aqed";
 const SNAPSHOT_TMP: &str = "snapshot.aqed.tmp";
-const FORMAT_VERSION: u64 = 2;
+const FORMAT_VERSION: u64 = 3;
 
 /// Tuning knobs for a persistent store.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -299,16 +298,6 @@ pub(crate) enum Record {
         bad_name: String,
         cex: PersistedCex,
     },
-    /// A learnt-clause core exported after solving `(cone, bad)`:
-    /// per-frame variable-count fingerprints plus clauses over packed
-    /// literal codes (`var << 1 | polarity`). Purely a warm-start hint;
-    /// injection re-checks the fingerprints and bounds every variable.
-    Learnts {
-        cone: u64,
-        bad_name: String,
-        frame_vars: Vec<u32>,
-        clauses: Vec<Vec<u32>>,
-    },
 }
 
 impl Record {
@@ -341,36 +330,6 @@ impl Record {
                 fields.extend(cex.to_json());
                 Json::obj(fields)
             }
-            Record::Learnts {
-                cone,
-                bad_name,
-                frame_vars,
-                clauses,
-            } => Json::obj(vec![
-                ("k", Json::Str("learnts".into())),
-                ("d", Json::hex(*cone)),
-                ("n", Json::Str(bad_name.clone())),
-                (
-                    "fv",
-                    Json::Arr(
-                        frame_vars
-                            .iter()
-                            .map(|&v| Json::num(u64::from(v)))
-                            .collect(),
-                    ),
-                ),
-                (
-                    "cl",
-                    Json::Arr(
-                        clauses
-                            .iter()
-                            .map(|c| {
-                                Json::Arr(c.iter().map(|&l| Json::num(u64::from(l))).collect())
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
         }
     }
 
@@ -388,27 +347,6 @@ impl Record {
                 cone: v.get("d")?.as_hex_u64()?,
                 bad_name: v.get("n")?.as_str()?.to_string(),
                 cex: PersistedCex::from_json(v)?,
-            }),
-            "learnts" => Some(Record::Learnts {
-                cone: v.get("d")?.as_hex_u64()?,
-                bad_name: v.get("n")?.as_str()?.to_string(),
-                frame_vars: v
-                    .get("fv")?
-                    .as_arr()?
-                    .iter()
-                    .map(|p| u32::try_from(p.as_u64()?).ok())
-                    .collect::<Option<_>>()?,
-                clauses: v
-                    .get("cl")?
-                    .as_arr()?
-                    .iter()
-                    .map(|c| {
-                        c.as_arr()?
-                            .iter()
-                            .map(|l| u32::try_from(l.as_u64()?).ok())
-                            .collect::<Option<_>>()
-                    })
-                    .collect::<Option<_>>()?,
             }),
             _ => None,
         }
@@ -712,12 +650,6 @@ mod tests {
                     init: vec![],
                     trace: vec![vec![(2, 4, 0xa)]],
                 },
-            },
-            Record::Learnts {
-                cone: u64::MAX,
-                bad_name: "BAD_SAC".into(),
-                frame_vars: vec![10, 25, 41],
-                clauses: vec![vec![0, 3, 5], vec![7]],
             },
         ];
         for r in &records {

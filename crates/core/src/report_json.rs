@@ -32,8 +32,8 @@ fn solver_stats_json(s: &SolverStats) -> Json {
         subsumed,
         eliminated_vars,
         preprocess_micros,
-        learnt_imported,
-        learnt_discarded,
+        // Always 0; kept in the struct for the benchmark only.
+        learnt_imported: _,
         // Portfolio-only bookkeeping; not part of the report schema.
         shared_exported: _,
         shared_imported: _,
@@ -53,8 +53,6 @@ fn solver_stats_json(s: &SolverStats) -> Json {
         ("subsumed", Json::num(subsumed)),
         ("eliminated_vars", Json::num(eliminated_vars)),
         ("preprocess_micros", Json::num(preprocess_micros)),
-        ("learnt_imported", Json::num(learnt_imported)),
-        ("learnt_discarded", Json::num(learnt_discarded)),
     ])
 }
 
@@ -203,21 +201,12 @@ mod tests {
                 .and_then(Json::as_u64),
             Some(report.aggregate.solver.conflicts)
         );
-        // The warm-start counters are part of the stable schema even on
-        // a cold run (they report zero).
+        // The reuse counter is part of the stable schema even on a cold
+        // run (it reports zero).
         let aggregate = parsed.get("aggregate").expect("aggregate");
         assert_eq!(
             aggregate.get("verdicts_reused").and_then(Json::as_u64),
             Some(report.aggregate.verdicts_reused)
-        );
-        let solver = aggregate.get("solver").expect("solver");
-        assert_eq!(
-            solver.get("learnt_imported").and_then(Json::as_u64),
-            Some(report.aggregate.solver.learnt_imported)
-        );
-        assert_eq!(
-            solver.get("learnt_discarded").and_then(Json::as_u64),
-            Some(report.aggregate.solver.learnt_discarded)
         );
     }
 

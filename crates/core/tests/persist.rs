@@ -155,33 +155,34 @@ fn corrupted_journal_degrades_to_a_partial_cache() {
 }
 
 #[test]
-fn corrupted_learnt_record_falls_back_to_cold() {
-    let dir = store_dir("learnt-corrupt");
-    let baseline = run_once(true, None);
+fn corrupted_verdict_record_falls_back_to_cold() {
+    let dir = store_dir("verdict-corrupt");
+    let baseline = run_once(false, None);
     {
         let store = Arc::new(ArtifactStore::open(&dir).expect("open fresh store"));
-        let _ = run_once(true, Some(&store));
+        let _ = run_once(false, Some(&store));
     }
-    // Corrupt the first learnt-pack record specifically: the checksum
-    // mismatch truncates the journal there, so the learnt hints (and any
-    // facts after them) are lost — but never served corrupted.
+    // Corrupt the first clean-verdict record specifically: the checksum
+    // mismatch truncates the journal there, so that fact (and any after
+    // it) is lost — but never served corrupted.
     let journal = dir.join(JOURNAL_FILE);
     let text = std::fs::read_to_string(&journal).expect("read journal");
     let pos = text
-        .find("\"k\":\"learnts\"")
-        .expect("a cold run at this bound must journal at least one learnt pack");
+        .find("\"k\":\"cclean\"")
+        .expect("a clean run must journal at least one clean verdict");
     let mut bytes = text.into_bytes();
     bytes[pos + 6] = b'X';
     std::fs::write(&journal, &bytes).expect("write damage");
     let store = Arc::new(ArtifactStore::open(&dir).expect("corrupted open must not fail"));
     assert!(
         store.truncated_records() > 0,
-        "the damaged learnt record must be counted as truncated"
+        "the damaged verdict record must be counted as truncated"
     );
     // Graceful fallback: whatever the store lost is re-solved cold, and
     // the verdicts are exactly the cold run's.
-    let after = run_once(true, Some(&store));
+    let after = run_once(false, Some(&store));
     assert_eq!(keys(&baseline), keys(&after));
+    assert_eq!(baseline.exit_code(), after.exit_code());
     assert!(!after.degraded);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -243,48 +244,73 @@ fn framed(payload: &str) -> String {
 }
 
 #[test]
-fn a_store_written_by_format_one_opens_empty_and_is_rewritten() {
-    let dir = store_dir("format-one");
-    std::fs::create_dir_all(&dir).expect("create store dir");
+fn stores_written_by_older_formats_open_empty_and_are_rewritten() {
     let baseline = run_once(true, None);
     let cex = baseline
         .counterexample()
         .expect("the buggy variant has a counterexample");
-    // A journal as the previous format wrote it: its version marker, a
-    // whole-design "clean" verdict (a kind this format dropped) and a
-    // cone-keyed one (a kind it still parses), both for the obligation
-    // that has the bug. Served, either would hide it.
+    // Journals as the previous formats wrote them: a version marker, a
+    // cone-keyed "clean" verdict (a kind this format still parses) for
+    // the obligation that has the bug, plus one record of a kind this
+    // format dropped: a whole-design verdict (format 1) or a learnt
+    // pack (format 2). Served, either verdict would hide the bug.
     let (composed, pool) = compose(true);
     let design = design_hash(&composed, &pool);
     let cone = cone_hash(&coi_slice(&composed, &pool, &[cex.bad_index]), &pool);
     let (i, bad) = (cex.bad_index, &cex.bad_name);
-    let journal = framed(r#"{"k":"meta","v":1}"#)
-        + &framed(&format!(
-            r#"{{"k":"clean","d":"{design:016x}","i":{i},"n":"{bad}","b":6}}"#
-        ))
-        + &framed(&format!(
-            r#"{{"k":"cclean","d":"{cone:016x}","n":"{bad}","b":6}}"#
-        ));
-    std::fs::write(dir.join(JOURNAL_FILE), journal).expect("write v1 journal");
-    {
-        let store = Arc::new(ArtifactStore::open(&dir).expect("a v1 store still opens"));
-        assert_eq!(store.recovered_records(), 0, "no v1 record is recovered");
-        assert_eq!(store.cone_outcome_count(), 0);
-        let run = run_once(true, Some(&store));
-        assert_eq!(keys(&baseline), keys(&run), "the run matches a cold run");
-        assert_eq!(run.cache_hits, 0, "nothing is served from a v1 store");
+    let cone_clean = framed(&format!(
+        r#"{{"k":"cclean","d":"{cone:016x}","n":"{bad}","b":6}}"#
+    ));
+    let old_journals = [
+        (
+            1,
+            framed(r#"{"k":"meta","v":1}"#)
+                + &framed(&format!(
+                    r#"{{"k":"clean","d":"{design:016x}","i":{i},"n":"{bad}","b":6}}"#
+                ))
+                + &cone_clean,
+        ),
+        (
+            2,
+            framed(r#"{"k":"meta","v":2}"#)
+                + &cone_clean
+                + &framed(&format!(
+                    r#"{{"k":"learnts","d":"{cone:016x}","n":"{bad}","fv":[10,20],"cl":[[0,3]]}}"#
+                )),
+        ),
+    ];
+    for (version, journal) in old_journals {
+        let dir = store_dir(&format!("format-{version}"));
+        std::fs::create_dir_all(&dir).expect("create store dir");
+        std::fs::write(dir.join(JOURNAL_FILE), journal).expect("write old journal");
+        {
+            let store = Arc::new(ArtifactStore::open(&dir).expect("an old store still opens"));
+            assert_eq!(
+                store.recovered_records(),
+                0,
+                "v{version}: nothing recovered"
+            );
+            assert_eq!(store.cone_outcome_count(), 0, "v{version}");
+            let run = run_once(true, Some(&store));
+            assert_eq!(keys(&baseline), keys(&run), "v{version}: cold verdicts");
+            assert_eq!(baseline.exit_code(), run.exit_code(), "v{version}");
+            assert_eq!(run.cache_hits, 0, "v{version}: nothing served");
+        }
+        // The journal was restarted in this build's format.
+        let text = std::fs::read_to_string(dir.join(JOURNAL_FILE)).expect("read journal");
+        let first = text.lines().next().unwrap_or_default();
+        assert!(
+            first.contains(r#""k":"meta""#) && !first.contains(&format!(r#""v":{version}"#)),
+            "v{version}: journal must restart with this format's marker: {first}"
+        );
+        let store = Arc::new(ArtifactStore::open(&dir).expect("reopen store"));
+        assert_eq!(store.truncated_records(), 0, "v{version}");
+        let warm = run_once(true, Some(&store));
+        assert_eq!(keys(&baseline), keys(&warm), "v{version}");
+        assert_fully_warm(
+            &warm,
+            &format!("after the v{version} journal was rewritten"),
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    // The journal was restarted in this build's format.
-    let text = std::fs::read_to_string(dir.join(JOURNAL_FILE)).expect("read journal");
-    let first = text.lines().next().unwrap_or_default();
-    assert!(
-        first.contains(r#""k":"meta""#) && !first.contains(r#""v":1"#),
-        "journal must restart with this format's marker: {first}"
-    );
-    let store = Arc::new(ArtifactStore::open(&dir).expect("reopen store"));
-    assert_eq!(store.truncated_records(), 0);
-    let warm = run_once(true, Some(&store));
-    assert_eq!(keys(&baseline), keys(&warm));
-    assert_fully_warm(&warm, "after the v1 journal was rewritten");
-    let _ = std::fs::remove_dir_all(&dir);
 }

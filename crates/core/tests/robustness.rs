@@ -5,7 +5,10 @@
 //!   `Inconclusive {reason: Deadline}` promptly, while its trivial
 //!   sibling obligation still completes clean;
 //! * a worker whose SAT backend panics degrades only its own obligation
-//!   to `Errored` — the other obligations and the process survive.
+//!   to `Errored` — the other obligations and the process survive;
+//! * an obligation retried after its conflict budget ran out resumes the
+//!   stalled solver: one backend, each frame encoded once, each conflict
+//!   counted once.
 
 use aqed_bmc::BmcOptions;
 use aqed_core::{
@@ -15,6 +18,7 @@ use aqed_core::{
 use aqed_expr::ExprPool;
 use aqed_sat::{ArmedBudget, Lit, SatBackend, SolveResult, Solver, SolverStats, Var};
 use aqed_tsys::TransitionSystem;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Two 31-bit primes whose product the SAT solver would have to factor.
@@ -207,5 +211,156 @@ fn panicking_backend_degrades_only_its_own_obligation() {
     assert!(
         matches!(report.outcome, CheckOutcome::Errored { .. }),
         "{report}"
+    );
+}
+
+/// Backends built, variables created and conflicts spent by every
+/// [`CountingBackend`] in this process; only one test uses it.
+static COUNTED_BACKENDS: AtomicU64 = AtomicU64::new(0);
+static COUNTED_VARS: AtomicU64 = AtomicU64::new(0);
+static COUNTED_CONFLICTS: AtomicU64 = AtomicU64::new(0);
+
+/// The CDCL solver, counting what the scheduler asks of it.
+struct CountingBackend {
+    inner: Solver,
+}
+
+impl Default for CountingBackend {
+    fn default() -> Self {
+        COUNTED_BACKENDS.fetch_add(1, Ordering::Relaxed);
+        CountingBackend {
+            inner: Solver::new(),
+        }
+    }
+}
+
+impl Drop for CountingBackend {
+    fn drop(&mut self) {
+        COUNTED_CONFLICTS.fetch_add(self.inner.stats().conflicts, Ordering::Relaxed);
+    }
+}
+
+impl SatBackend for CountingBackend {
+    fn name(&self) -> &'static str {
+        "counting"
+    }
+    fn new_var(&mut self) -> Var {
+        COUNTED_VARS.fetch_add(1, Ordering::Relaxed);
+        self.inner.new_var()
+    }
+    fn add_clause(&mut self, lits: &[Lit]) -> bool {
+        self.inner.add_clause(lits.iter().copied())
+    }
+    fn solve_under(&mut self, assumptions: &[Lit]) -> SolveResult {
+        self.inner.solve_with(assumptions)
+    }
+    fn value(&self, l: Lit) -> Option<bool> {
+        self.inner.value(l)
+    }
+    fn stats(&self) -> SolverStats {
+        self.inner.stats()
+    }
+    fn num_vars(&self) -> usize {
+        self.inner.num_vars()
+    }
+    fn num_clauses(&self) -> usize {
+        self.inner.num_clauses()
+    }
+    fn set_conflict_budget(&mut self, budget: Option<u64>) {
+        self.inner.set_conflict_budget(budget);
+    }
+    fn set_budget(&mut self, budget: ArmedBudget) {
+        self.inner.set_budget(budget);
+    }
+    fn stop_reason(&self) -> Option<StopReason> {
+        self.inner.stop_reason()
+    }
+}
+
+/// `x > 1 ∧ y > 1 ∧ x·y = n` over a double-width product: unsatisfiable
+/// for a prime `n`, after search that grows with `width`.
+fn factors(
+    pool: &mut ExprPool,
+    ts: &mut TransitionSystem,
+    name: &str,
+    width: u32,
+    n: u64,
+) -> aqed_expr::ExprRef {
+    let x = ts.add_input(pool, format!("{name}_x"), width);
+    let y = ts.add_input(pool, format!("{name}_y"), width);
+    let xe = pool.var_expr(x);
+    let ye = pool.var_expr(y);
+    let xw = pool.zext(xe, 2 * width);
+    let yw = pool.zext(ye, 2 * width);
+    let prod = pool.mul(xw, yw);
+    let target = pool.lit(2 * width, n);
+    let hit = pool.eq(prod, target);
+    let one = pool.lit(width, 1);
+    let xg = pool.ugt(xe, one);
+    let yg = pool.ugt(ye, one);
+    pool.and_all([hit, xg, yg])
+}
+
+/// One bad that poses a cheap query at frame 0, an expensive one at
+/// frame 1 (both unsatisfiable) and is statically false at frames 2
+/// and 3: a free-running tick register selects the query.
+fn two_step_system(pool: &mut ExprPool) -> TransitionSystem {
+    let mut ts = TransitionSystem::new("two_step");
+    let cheap = factors(pool, &mut ts, "small", 4, 13);
+    let hard = factors(pool, &mut ts, "large", 10, 1021);
+    let t = ts.add_register(pool, "t", 2, 0);
+    let te = pool.var_expr(t);
+    let one = pool.lit(2, 1);
+    let next = pool.add(te, one);
+    ts.set_next(t, next);
+    let zero = pool.lit(2, 0);
+    let at0 = pool.eq(te, zero);
+    let at1 = pool.eq(te, one);
+    let step0 = pool.and(at0, cheap);
+    let step1 = pool.and(at1, hard);
+    let bad = pool.or(step0, step1);
+    ts.add_bad(BAD_FC, bad);
+    ts.validate(pool).expect("two-step system must validate");
+    ts
+}
+
+#[test]
+fn budget_retry_resumes_one_backend_and_encodes_each_frame_once() {
+    let mut pool = ExprPool::new();
+    let ts = two_step_system(&mut pool);
+    let options = BmcOptions::default().with_max_bound(3);
+    let cold =
+        verify_obligations_scheduled::<Solver>(&ts, &pool, &options, &ScheduleOptions::default());
+    assert!(
+        matches!(cold.outcome, CheckOutcome::Clean { bound: 3 }),
+        "{cold}"
+    );
+
+    // 16 conflicts per call cover the cheap frame but not the hard one,
+    // so attempts stall at frame 1 until the doubled budget suffices.
+    let budgeted = options.clone().with_conflict_budget(Some(16));
+    let sched = ScheduleOptions::default().with_max_attempts(12);
+    let report = verify_obligations_scheduled::<CountingBackend>(&ts, &pool, &budgeted, &sched);
+    let ob = &report.obligations[0];
+    assert!(
+        matches!(report.outcome, CheckOutcome::Clean { bound: 3 }),
+        "{report}"
+    );
+    assert!(ob.attempts > 1, "the budget must force a retry");
+    assert_eq!(
+        COUNTED_BACKENDS.load(Ordering::Relaxed),
+        1,
+        "one backend for all attempts"
+    );
+    assert_eq!(
+        COUNTED_VARS.load(Ordering::Relaxed),
+        cold.aggregate.variables as u64,
+        "each frame is encoded once, as in the unbudgeted run"
+    );
+    assert_eq!(ob.stats.variables, cold.aggregate.variables);
+    assert_eq!(
+        ob.stats.solver.conflicts,
+        COUNTED_CONFLICTS.load(Ordering::Relaxed),
+        "each conflict is counted once"
     );
 }

@@ -11,10 +11,9 @@
 //! An [`Engine`] optionally carries a cross-request
 //! [`aqed_core::ArtifactStore`]: a long-lived process
 //! (daemon, warm CI loop) constructs one engine and every request
-//! through it shares definitive verdicts and learnt-clause packs, each
-//! keyed by the content hash of one obligation's COI slice. A fresh
-//! engine per run ([`Engine::new`]) behaves exactly like the
-//! pre-engine CLI wiring.
+//! through it shares definitive verdicts, each keyed by the content
+//! hash of one obligation's COI slice. A fresh engine per run
+//! ([`Engine::new`]) behaves exactly like the pre-engine CLI wiring.
 
 use aqed_bmc::BmcOptions;
 use aqed_core::{
@@ -281,9 +280,8 @@ impl Engine {
     }
 
     /// An engine backed by a durable [`ArtifactStore`] rooted at `dir`:
-    /// verdicts and learnt packs recovered from previous processes warm
-    /// this one, and each run's new facts are flushed to disk when it
-    /// ends.
+    /// verdicts recovered from previous processes warm this one, and
+    /// each run's new facts are flushed to disk when it ends.
     ///
     /// # Errors
     ///
@@ -376,7 +374,8 @@ impl Engine {
             .with_max_bound(bound)
             .with_budget(budget)
             .with_preprocess(req.preprocess)
-            .with_coi(req.coi);
+            .with_coi(req.coi)
+            .with_portfolio(req.portfolio_workers, req.clause_sharing);
         options.conflict_budget = req.conflict_budget;
         let sched = ScheduleOptions::default()
             .with_jobs(req.jobs)
@@ -393,16 +392,9 @@ impl Engine {
             BackendKind::Dimacs => verify_obligations_governed::<DimacsBackend>(
                 &composed, &pool, &options, &sched, &ctx,
             ),
-            BackendKind::Portfolio => {
-                // The scheduler instantiates backends via `B::default()`,
-                // so the width and sharing switch travel through process
-                // globals.
-                aqed_sat::portfolio::set_default_workers(req.portfolio_workers);
-                aqed_sat::portfolio::set_default_sharing(req.clause_sharing);
-                verify_obligations_governed::<PortfolioBackend>(
-                    &composed, &pool, &options, &sched, &ctx,
-                )
-            }
+            BackendKind::Portfolio => verify_obligations_governed::<PortfolioBackend>(
+                &composed, &pool, &options, &sched, &ctx,
+            ),
         };
         // Make this run's freshly donated facts durable before the
         // verdict is reported: a persistent store then loses at most
@@ -532,6 +524,37 @@ mod tests {
             outcome.report
         );
         assert_eq!(outcome.exit_code(), 2);
+    }
+
+    #[test]
+    fn concurrent_portfolio_requests_race_at_their_own_width() {
+        // A barrier releases both requests together, so each run's
+        // backends are built while the other request is in flight.
+        let engine = Engine::new();
+        let barrier = std::sync::Barrier::new(2);
+        let run = |workers: usize| {
+            let mut req = VerifyRequest::new("dataflow_fifo_sizing");
+            req.bound = Some(6);
+            req.backend = BackendKind::Portfolio;
+            req.portfolio_workers = workers;
+            barrier.wait();
+            engine.verify(&req).expect("catalogued case").report
+        };
+        let (narrow, wide) = std::thread::scope(|s| {
+            let narrow = s.spawn(|| run(1));
+            let wide = s.spawn(|| run(3));
+            (
+                narrow.join().expect("width 1"),
+                wide.join().expect("width 3"),
+            )
+        });
+        assert_eq!(narrow.aggregate.solver.wasted_conflicts, 0);
+        for (n, w) in narrow.obligations.iter().zip(&wide.obligations) {
+            assert_eq!(n.stats.solver.portfolio_winner, None, "width 1 never races");
+            if w.stats.solver_calls > 0 {
+                assert!(w.stats.solver.portfolio_winner.is_some(), "width 3 races");
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The incremental solver-backend abstraction.
 //!
 //! Every consumer of SAT solving in the workspace — the bit-blaster, the
-//! BMC engine, k-induction, and the A-QED obligation scheduler — talks to
-//! a [`SatBackend`] instead of a concrete solver type. The trait captures
+//! BMC engine and the A-QED obligation scheduler — talks to a
+//! [`SatBackend`] instead of a concrete solver type. The trait captures
 //! the minimal incremental interface the stack needs: variable creation,
 //! clause addition at decision level 0, solving under assumptions, model
 //! extraction, and statistics.
@@ -141,23 +141,10 @@ pub trait SatBackend {
         let _ = scope;
     }
 
-    /// Snapshots the surviving learnt-clause core (size-capped, count-
-    /// capped, highest-activity first) for warm-starting a future run
-    /// over an identical CNF. The default implementation exports nothing
-    /// — a backend without a learnt database has no core to offer, and
-    /// an empty export is always sound.
-    fn export_learnts(&self, max_len: usize, max_count: usize) -> Vec<Vec<Lit>> {
-        let _ = (max_len, max_count);
-        Vec::new()
-    }
-
-    /// Installs warm-start learnt clauses previously exported from an
-    /// identical CNF as redundant clauses. Implied clauses preserve both
-    /// verdicts and models, so backends may install or ignore them
-    /// freely; the default implementation ignores them (sound — the
-    /// search merely re-derives what it is not told).
-    fn import_learnts(&mut self, clauses: &[Vec<Lit>]) {
-        let _ = clauses;
+    /// Sets the race width and the clause-sharing switch of a portfolio
+    /// backend. Single-solver backends ignore it.
+    fn set_portfolio(&mut self, workers: usize, sharing: bool) {
+        let _ = (workers, sharing);
     }
 }
 
@@ -224,14 +211,6 @@ impl SatBackend for Solver {
 
     fn set_metrics_scope(&mut self, scope: &str) {
         Solver::set_metrics_scope(self, Some(scope.to_string()));
-    }
-
-    fn export_learnts(&self, max_len: usize, max_count: usize) -> Vec<Vec<Lit>> {
-        Solver::export_learnts(self, max_len, max_count)
-    }
-
-    fn import_learnts(&mut self, clauses: &[Vec<Lit>]) {
-        Solver::import_learnts(self, clauses);
     }
 }
 
@@ -413,17 +392,6 @@ impl SatBackend for DimacsBackend {
     fn set_metrics_scope(&mut self, scope: &str) {
         SatBackend::set_metrics_scope(&mut self.inner, scope);
     }
-
-    // Learnt export/import delegates without logging: imported learnts
-    // are redundant by construction, so the iCNF log stays a faithful
-    // record of the original formula and queries.
-    fn export_learnts(&self, max_len: usize, max_count: usize) -> Vec<Vec<Lit>> {
-        self.inner.export_learnts(max_len, max_count)
-    }
-
-    fn import_learnts(&mut self, clauses: &[Vec<Lit>]) {
-        self.inner.import_learnts(clauses);
-    }
 }
 
 #[cfg(test)]
@@ -515,58 +483,6 @@ mod tests {
         d.set_conflict_budget(None);
         assert_eq!(d.solve_under(&[]), SolveResult::Unsat);
         assert_eq!(d.stop_reason(), None);
-    }
-
-    /// Adds PHP(pigeons, holes) to `b` and returns the variable grid.
-    fn php<B: SatBackend>(b: &mut B, pigeons: usize, holes: usize) -> Vec<Vec<Var>> {
-        let p: Vec<Vec<Var>> = (0..pigeons)
-            .map(|_| (0..holes).map(|_| b.new_var()).collect())
-            .collect();
-        for row in &p {
-            let lits: Vec<Lit> = row.iter().map(|v| v.pos()).collect();
-            b.add_clause(&lits);
-        }
-        for h in 0..holes {
-            let col: Vec<Var> = p.iter().map(|row| row[h]).collect();
-            for (i, &a) in col.iter().enumerate() {
-                for &b2 in &col[i + 1..] {
-                    b.add_clause(&[a.neg(), b2.neg()]);
-                }
-            }
-        }
-        p
-    }
-
-    #[test]
-    fn learnt_export_import_round_trip() {
-        let mut cold = Solver::new();
-        php(&mut cold, 7, 6);
-        assert_eq!(cold.solve(), SolveResult::Unsat);
-        let pack = cold.export_learnts(16, 256);
-        assert!(!pack.is_empty(), "PHP(7,6) must leave arena learnts");
-        assert!(pack.iter().all(|c| c.len() >= 3 && c.len() <= 16));
-
-        // A fresh solver over the identical CNF accepts every clause and
-        // still reaches the same verdict.
-        let mut warm = Solver::new();
-        php(&mut warm, 7, 6);
-        warm.import_learnts(&pack);
-        let stats = warm.stats();
-        assert_eq!(stats.learnt_imported, pack.len() as u64);
-        assert_eq!(stats.learnt_discarded, 0);
-        assert_eq!(warm.solve(), SolveResult::Unsat);
-    }
-
-    #[test]
-    fn learnt_import_discards_out_of_range_vars() {
-        let mut s = Solver::new();
-        let v = s.new_vars(2);
-        s.add_clause([v[0].pos(), v[1].pos()]);
-        s.import_learnts(&[vec![v[0].pos(), Var(999).pos()], vec![v[1].neg()]]);
-        let stats = s.stats();
-        assert_eq!(stats.learnt_discarded, 1);
-        assert_eq!(stats.learnt_imported, 1);
-        assert_eq!(s.solve(), SolveResult::Sat);
     }
 
     #[test]

@@ -70,19 +70,6 @@ impl Var {
         self.0 as usize
     }
 
-    /// Reconstructs a variable from its 0-based index. Only meaningful
-    /// for indices of variables actually created in the target solver;
-    /// consumers deserializing persisted clauses (warm-start learnt
-    /// packs) are bounds-checked again at import time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` does not fit in `u32`.
-    #[must_use]
-    pub fn from_index(index: usize) -> Self {
-        Var(u32::try_from(index).expect("variable index fits u32"))
-    }
-
     /// The positive literal of this variable.
     #[must_use]
     pub fn pos(self) -> Lit {

@@ -34,44 +34,11 @@ use crate::budget::{ArmedBudget, StopReason};
 use crate::share::ClausePool;
 use crate::solver::{SolveResult, Solver, SolverConfig, SolverStats};
 use crate::{Lit, SatBackend, Var};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Hard cap on the race width; beyond this thread overhead dwarfs any
 /// diversification gain on the obligation sizes A-QED produces.
 pub const MAX_WORKERS: usize = 64;
-
-/// Default race width used by [`PortfolioBackend::default`], settable
-/// process-wide (the CLI's `--portfolio-workers`). The default
-/// constructor must stay parameterless because the BMC session template
-/// instantiates backends through `B::default()`.
-static DEFAULT_WORKERS: AtomicUsize = AtomicUsize::new(4);
-/// Whether [`PortfolioBackend::default`] enables clause sharing.
-static DEFAULT_SHARING: AtomicBool = AtomicBool::new(true);
-
-/// Sets the race width used by [`PortfolioBackend::default`] (clamped
-/// to `1..=`[`MAX_WORKERS`]).
-pub fn set_default_workers(n: usize) {
-    DEFAULT_WORKERS.store(n.clamp(1, MAX_WORKERS), Ordering::Relaxed);
-}
-
-/// The race width [`PortfolioBackend::default`] will use.
-#[must_use]
-pub fn default_workers() -> usize {
-    DEFAULT_WORKERS
-        .load(Ordering::Relaxed)
-        .clamp(1, MAX_WORKERS)
-}
-
-/// Sets whether [`PortfolioBackend::default`] enables clause sharing.
-pub fn set_default_sharing(on: bool) {
-    DEFAULT_SHARING.store(on, Ordering::Relaxed);
-}
-
-/// Whether [`PortfolioBackend::default`] enables clause sharing.
-#[must_use]
-pub fn default_sharing() -> bool {
-    DEFAULT_SHARING.load(Ordering::Relaxed)
-}
 
 /// Flat record of every instance-building operation, replayed into
 /// lazily materialized workers (same idea as the iCNF log of
@@ -119,10 +86,10 @@ pub struct PortfolioBackend {
 }
 
 impl Default for PortfolioBackend {
+    /// A 4-wide race with clause sharing; [`SatBackend::set_portfolio`]
+    /// changes both before the first race.
     fn default() -> Self {
-        let mut p = Self::new(default_workers());
-        p.sharing = default_sharing();
-        p
+        Self::new(4)
     }
 }
 
@@ -156,11 +123,6 @@ impl PortfolioBackend {
     #[must_use]
     pub fn workers(&self) -> usize {
         self.target_workers
-    }
-
-    /// Enables or disables clause sharing for subsequent races.
-    pub fn set_sharing_enabled(&mut self, on: bool) {
-        self.sharing = on;
     }
 
     /// Whether clause sharing is enabled.
@@ -455,6 +417,13 @@ impl SatBackend for PortfolioBackend {
     fn set_metrics_scope(&mut self, scope: &str) {
         self.metrics_scope = Some(scope.to_string());
     }
+
+    /// Sets the race width (clamped to `1..=`[`MAX_WORKERS`]) and clause
+    /// sharing. Workers beyond the new width stay idle.
+    fn set_portfolio(&mut self, workers: usize, sharing: bool) {
+        self.target_workers = workers.clamp(1, MAX_WORKERS);
+        self.sharing = sharing;
+    }
 }
 
 #[cfg(test)]
@@ -513,7 +482,7 @@ mod tests {
     fn portfolio_refutes_pigeonhole_with_and_without_sharing() {
         for sharing in [true, false] {
             let mut p = PortfolioBackend::new(4);
-            p.set_sharing_enabled(sharing);
+            p.set_portfolio(4, sharing);
             php(&mut p, 5);
             assert_eq!(p.solve_under(&[]), SolveResult::Unsat, "sharing={sharing}");
             let st = p.stats();
@@ -632,13 +601,14 @@ mod tests {
     }
 
     #[test]
-    fn default_reads_process_globals() {
-        set_default_workers(3);
-        set_default_sharing(false);
-        let p = PortfolioBackend::default();
+    fn set_portfolio_sets_width_and_sharing() {
+        let mut p = PortfolioBackend::default();
+        assert_eq!(p.workers(), 4);
+        assert!(p.sharing_enabled());
+        p.set_portfolio(3, false);
         assert_eq!(p.workers(), 3);
         assert!(!p.sharing_enabled());
-        set_default_workers(4);
-        set_default_sharing(true);
+        p.set_portfolio(0, true);
+        assert_eq!(p.workers(), 1, "width is clamped");
     }
 }

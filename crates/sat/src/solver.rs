@@ -273,12 +273,9 @@ pub struct SolverStats {
     /// Conflicts spent by losing portfolio workers — search effort that
     /// did not produce the verdict.
     pub wasted_conflicts: u64,
-    /// Learnt clauses imported from a persisted warm-start pack and
-    /// installed as redundant clauses.
+    /// Always 0: no caller imports learnt clauses from outside the
+    /// solver. Kept because the benchmark reads it.
     pub learnt_imported: u64,
-    /// Warm-start learnt clauses rejected instead of installed (variable
-    /// out of range, or the whole pack's frame fingerprint mismatched).
-    pub learnt_discarded: u64,
     /// Worker index that produced the verdict of the most recent
     /// portfolio race, or `None` outside portfolio solving.
     pub portfolio_winner: Option<u32>,
@@ -305,9 +302,38 @@ impl SolverStats {
         self.shared_imported += other.shared_imported;
         self.wasted_conflicts += other.wasted_conflicts;
         self.learnt_imported += other.learnt_imported;
-        self.learnt_discarded += other.learnt_discarded;
         if other.portfolio_winner.is_some() {
             self.portfolio_winner = other.portfolio_winner;
+        }
+    }
+
+    /// The effort recorded since `earlier`, an older snapshot of the same
+    /// solver's statistics: counters subtract, while the `arena_bytes`
+    /// gauge and `portfolio_winner` keep their current values.
+    #[must_use]
+    pub fn since(&self, earlier: &SolverStats) -> SolverStats {
+        SolverStats {
+            decisions: self.decisions.saturating_sub(earlier.decisions),
+            propagations: self.propagations.saturating_sub(earlier.propagations),
+            conflicts: self.conflicts.saturating_sub(earlier.conflicts),
+            restarts: self.restarts.saturating_sub(earlier.restarts),
+            learnts: self.learnts.saturating_sub(earlier.learnts),
+            deleted: self.deleted.saturating_sub(earlier.deleted),
+            binary_props: self.binary_props.saturating_sub(earlier.binary_props),
+            gc_runs: self.gc_runs.saturating_sub(earlier.gc_runs),
+            arena_bytes: self.arena_bytes,
+            subsumed: self.subsumed.saturating_sub(earlier.subsumed),
+            eliminated_vars: self.eliminated_vars.saturating_sub(earlier.eliminated_vars),
+            preprocess_micros: self
+                .preprocess_micros
+                .saturating_sub(earlier.preprocess_micros),
+            shared_exported: self.shared_exported.saturating_sub(earlier.shared_exported),
+            shared_imported: self.shared_imported.saturating_sub(earlier.shared_imported),
+            wasted_conflicts: self
+                .wasted_conflicts
+                .saturating_sub(earlier.wasted_conflicts),
+            learnt_imported: self.learnt_imported.saturating_sub(earlier.learnt_imported),
+            portfolio_winner: self.portfolio_winner,
         }
     }
 }
@@ -319,7 +345,7 @@ impl fmt::Display for SolverStats {
             "decisions={} propagations={} conflicts={} restarts={} learnts={} deleted={} \
              binary_props={} gc_runs={} arena_bytes={} subsumed={} eliminated_vars={} \
              preprocess_micros={} shared_exported={} shared_imported={} wasted_conflicts={} \
-             learnt_imported={} learnt_discarded={} portfolio_winner={}",
+             learnt_imported={} portfolio_winner={}",
             self.decisions,
             self.propagations,
             self.conflicts,
@@ -336,7 +362,6 @@ impl fmt::Display for SolverStats {
             self.shared_imported,
             self.wasted_conflicts,
             self.learnt_imported,
-            self.learnt_discarded,
             self.portfolio_winner
                 .map_or_else(|| "-".to_string(), |w| w.to_string()),
         )
@@ -608,67 +633,6 @@ impl Solver {
     /// (they are implied, so keeping them is always sound).
     pub fn clear_sharing(&mut self) {
         self.share = None;
-    }
-
-    /// Snapshots the surviving learnt-clause core for warm-starting a
-    /// future solver over an *identical* CNF: the live (non-deleted)
-    /// arena learnts, highest-activity first, capped at `max_len`
-    /// literals per clause and `max_count` clauses. Binary learnts live
-    /// inlined in the watch lists rather than the arena and are not
-    /// exported; unit learnts are level-0 trail facts, likewise skipped.
-    ///
-    /// The returned clauses are implied by the clauses added so far, so
-    /// they are only sound to re-add to a solver holding an identical
-    /// clause set (see [`Solver::import_learnts`]).
-    #[must_use]
-    pub fn export_learnts(&self, max_len: usize, max_count: usize) -> Vec<Vec<Lit>> {
-        let mut refs: Vec<ClauseRef> = self
-            .learnts
-            .iter()
-            .copied()
-            .filter(|&c| !self.ca.is_deleted(c) && self.ca.size(c) <= max_len)
-            .collect();
-        refs.sort_by(|&a, &b| {
-            self.ca
-                .activity(b)
-                .partial_cmp(&self.ca.activity(a))
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        refs.truncate(max_count);
-        refs.iter().map(|&c| self.ca.lits(c).to_vec()).collect()
-    }
-
-    /// Installs warm-start learnt clauses exported by a previous run
-    /// over an identical CNF (see [`Solver::export_learnts`]). Each
-    /// clause is re-simplified against the level-0 trail exactly like a
-    /// portfolio import; because it is implied by the (identical) clause
-    /// set, installation preserves both verdicts and models — even for
-    /// clauses mentioning variables this solver's preprocessor
-    /// eliminated. A clause naming a variable this solver has not
-    /// created is discarded instead: the caller's CNF-identity guarantee
-    /// failed for it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called mid-search (the public API only reaches decision
-    /// level 0 between solves).
-    pub fn import_learnts(&mut self, clauses: &[Vec<Lit>]) {
-        assert_eq!(
-            self.decision_level(),
-            0,
-            "import_learnts must run between solves"
-        );
-        for c in clauses {
-            if !self.ok {
-                return;
-            }
-            if c.is_empty() || c.iter().any(|l| l.var().index() >= self.num_vars()) {
-                self.stats.learnt_discarded += 1;
-                continue;
-            }
-            self.stats.learnt_imported += 1;
-            self.add_learnt_vec(c.clone());
-        }
     }
 
     /// Sets the scope label baked into this solver's metric names
@@ -2652,7 +2616,8 @@ mod tests {
         }
     }
 
-    /// Pins [`SolverStats::absorb`] field by field. The struct literals
+    /// Pins [`SolverStats::absorb`] (and its inverse
+    /// [`SolverStats::since`]) field by field. The struct literals
     /// are deliberately exhaustive (no `..Default::default()`): adding a
     /// stats field without deciding its aggregation semantics — and
     /// updating both `absorb` and this test — must fail to compile.
@@ -2677,7 +2642,6 @@ mod tests {
             shared_imported: 14,
             wasted_conflicts: 15,
             learnt_imported: 16,
-            learnt_discarded: 17,
             portfolio_winner: None,
         };
         let b = SolverStats {
@@ -2697,10 +2661,21 @@ mod tests {
             shared_imported: 1400,
             wasted_conflicts: 1500,
             learnt_imported: 1600,
-            learnt_discarded: 1700,
             portfolio_winner: Some(2),
         };
+        let before = a;
         a.absorb(&b);
+        // `since` undoes the absorb for every counter; the gauge keeps
+        // its current value.
+        let delta = a.since(&before);
+        assert_eq!(delta.arena_bytes, 9);
+        assert_eq!(
+            SolverStats {
+                arena_bytes: 4,
+                ..delta
+            },
+            b
+        );
         assert_eq!(a.decisions, 101);
         assert_eq!(a.propagations, 202);
         assert_eq!(a.conflicts, 303);
@@ -2717,7 +2692,6 @@ mod tests {
         assert_eq!(a.shared_imported, 1414);
         assert_eq!(a.wasted_conflicts, 1515);
         assert_eq!(a.learnt_imported, 1616);
-        assert_eq!(a.learnt_discarded, 1717);
         assert_eq!(
             a.portfolio_winner,
             Some(2),
@@ -2732,7 +2706,6 @@ mod tests {
             "shared_imported=1414",
             "wasted_conflicts=1515",
             "learnt_imported=1616",
-            "learnt_discarded=1717",
             "portfolio_winner=2",
         ] {
             assert!(shown.contains(needle), "{needle} missing from {shown}");

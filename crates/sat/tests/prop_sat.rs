@@ -482,7 +482,7 @@ fn run_portfolio(
     assumptions: &[i32],
 ) -> (SolveResult, Vec<bool>) {
     let mut backend = PortfolioBackend::new(workers);
-    backend.set_sharing_enabled(sharing);
+    backend.set_portfolio(workers, sharing);
     let vars: Vec<Var> = (0..n).map(|_| backend.new_var()).collect();
     for c in clauses {
         let lits: Vec<_> = c
@@ -596,9 +596,9 @@ proptest! {
         assumption_seed in any::<u64>(),
     ) {
         let mut with_sharing = PortfolioBackend::new(3);
-        with_sharing.set_sharing_enabled(true);
+        with_sharing.set_portfolio(3, true);
         let mut without_sharing = PortfolioBackend::new(3);
-        without_sharing.set_sharing_enabled(false);
+        without_sharing.set_portfolio(3, false);
         let vars_on: Vec<Var> = (0..n).map(|_| with_sharing.new_var()).collect();
         let vars_off: Vec<Var> = (0..n).map(|_| without_sharing.new_var()).collect();
         let mut rng = StdRng::seed_from_u64(assumption_seed);

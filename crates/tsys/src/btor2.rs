@@ -349,7 +349,9 @@ pub fn btor2_check(text: &str) -> Result<usize, String> {
         let id: usize = toks[0]
             .parse()
             .map_err(|_| format!("line {}: bad id '{}'", lineno + 1, toks[0]))?;
-        let kind = toks[1];
+        let kind = *toks
+            .get(1)
+            .ok_or_else(|| format!("line {}: missing kind", lineno + 1))?;
         // Operand positions depend on the kind; ids are always numeric
         // tokens after the sort reference (skip symbolic names/targets).
         let operand_start = match kind {
@@ -479,6 +481,7 @@ mod tests {
     fn check_rejects_dangling_reference() {
         let bad = "1 sort bitvec 1\n2 and 1 1 99\n";
         assert!(btor2_check(bad).is_err());
+        assert_eq!(btor2_check("5\n"), Err("line 1: missing kind".into()));
     }
 
     #[test]

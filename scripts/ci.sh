@@ -354,38 +354,38 @@ grep -qE '"verdicts_reused":[1-9]' "$obs_tmp/ws-report.json" || {
 }
 echo "  deepening 8 -> 12: verdict '$deep_warm' identical, proven prefix reused"
 
-echo "== warm-start: corrupted learnt-clause artifact falls back to cold"
-# Damage the learnt-pack record specifically: the checksummed journal
-# truncates at the corruption, the learnt hints are lost, and the
+echo "== warm-start: corrupted verdict record falls back to cold"
+# Damage the first clean-verdict record specifically: the checksummed
+# journal truncates at the corruption, the fact is lost, and the
 # re-verify must quietly re-solve — identical verdict, never a crash
 # or a stale answer.
-lc_store="$obs_tmp/lc-store"
-lc_cold_rc=0
-lc_cold=$(./target/release/aqed verify dataflow_fifo_sizing --bound 16 \
-    --store-dir "$lc_store" | verdict) || lc_cold_rc=$?
-grep -q '"k":"learnts"' "$lc_store/journal.aqed" || {
-    echo "cold run journaled no learnt pack at $lc_store/journal.aqed" >&2
+vc_store="$obs_tmp/vc-store"
+vc_cold_rc=0
+vc_cold=$(./target/release/aqed verify dataflow_fifo_sizing --bound 16 \
+    --store-dir "$vc_store" | verdict) || vc_cold_rc=$?
+grep -q '"k":"cclean"' "$vc_store/journal.aqed" || {
+    echo "cold run journaled no clean verdict at $vc_store/journal.aqed" >&2
     exit 1
 }
-python3 - "$lc_store/journal.aqed" <<'EOF'
+python3 - "$vc_store/journal.aqed" <<'EOF'
 import sys
 path = sys.argv[1]
 data = bytearray(open(path, "rb").read())
-pos = data.find(b'"k":"learnts"')
-assert pos >= 0, "no learnts record to corrupt"
+pos = data.find(b'"k":"cclean"')
+assert pos >= 0, "no cclean record to corrupt"
 data[pos + 6] = ord("X")
 open(path, "wb").write(bytes(data))
 EOF
-lc_warm_rc=0
-lc_warm=$(./target/release/aqed verify dataflow_fifo_sizing --bound 16 \
-    --store-dir "$lc_store" | verdict) || lc_warm_rc=$?
-if [ "$lc_cold_rc" != "$lc_warm_rc" ] || [ "$lc_cold" != "$lc_warm" ]; then
-    echo "corrupted learnt artifact changed the verdict:" >&2
-    echo "  cold:           rc=$lc_cold_rc  $lc_cold" >&2
-    echo "  post-corruption: rc=$lc_warm_rc  $lc_warm" >&2
+vc_warm_rc=0
+vc_warm=$(./target/release/aqed verify dataflow_fifo_sizing --bound 16 \
+    --store-dir "$vc_store" | verdict) || vc_warm_rc=$?
+if [ "$vc_cold_rc" != "$vc_warm_rc" ] || [ "$vc_cold" != "$vc_warm" ]; then
+    echo "corrupted verdict record changed the verdict:" >&2
+    echo "  cold:           rc=$vc_cold_rc  $vc_cold" >&2
+    echo "  post-corruption: rc=$vc_warm_rc  $vc_warm" >&2
     exit 1
 fi
-echo "  corrupted learnt pack discarded; verdict '$lc_warm' unchanged"
+echo "  corrupted verdict record discarded; verdict '$vc_warm' unchanged"
 
 echo "== observability plane: stats scrape, monotone counters, postmortem bundle"
 # A live daemon must serve a well-formed Prometheus exposition whose
