@@ -90,9 +90,10 @@ pub struct BmcOptions {
     /// are unchanged; counterexamples are widened back to the full input
     /// set with zero values for sliced-away inputs.
     pub coi: bool,
-    /// Ask the SAT backend to preprocess the CNF (subsumption, bounded
-    /// variable elimination) before searching (default true). Backends
-    /// without a preprocessor ignore the request.
+    /// Let the SAT backend preprocess the CNF (subsumption, bounded
+    /// variable elimination) once search has spent more than a pass
+    /// costs (default true). Backends without a preprocessor ignore the
+    /// request.
     pub preprocess: bool,
     /// Escalation hint forwarded to the backend via
     /// [`SatBackend::set_escalation_level`]: how many budget-exhausted

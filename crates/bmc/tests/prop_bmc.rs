@@ -5,8 +5,59 @@
 use aqed_bitvec::Bv;
 use aqed_bmc::{Bmc, BmcOptions, BmcResult};
 use aqed_expr::ExprPool;
+use aqed_sat::{Lit, SatBackend, SolveResult, Solver, SolverStats, Var};
 use aqed_tsys::{Simulator, TransitionSystem};
 use proptest::prelude::*;
+
+/// The CDCL solver with a preprocessing pass forced before every solve
+/// while preprocessing is on: the effort gate never opens on machines
+/// this small, and the pipeline test must still eliminate and
+/// reactivate variables across frames.
+#[derive(Default)]
+struct EagerPass {
+    inner: Solver,
+    preprocess: bool,
+}
+
+impl SatBackend for EagerPass {
+    fn name(&self) -> &'static str {
+        "eager-pass"
+    }
+    fn new_var(&mut self) -> Var {
+        self.inner.new_var()
+    }
+    fn add_clause(&mut self, lits: &[Lit]) -> bool {
+        self.inner.add_clause(lits.iter().copied())
+    }
+    fn solve_under(&mut self, assumptions: &[Lit]) -> SolveResult {
+        if self.preprocess {
+            self.inner.simplify();
+        }
+        self.inner.solve_with(assumptions)
+    }
+    fn value(&self, l: Lit) -> Option<bool> {
+        self.inner.model_lit(l)
+    }
+    fn stats(&self) -> SolverStats {
+        self.inner.stats()
+    }
+    fn num_vars(&self) -> usize {
+        self.inner.num_vars()
+    }
+    fn num_clauses(&self) -> usize {
+        self.inner.num_clauses()
+    }
+    fn set_conflict_budget(&mut self, budget: Option<u64>) {
+        self.inner.set_conflict_budget(budget);
+    }
+    fn set_preprocessing(&mut self, enabled: bool) {
+        self.preprocess = enabled;
+        self.inner.set_preprocessing(enabled);
+    }
+    fn freeze_var(&mut self, v: Var) {
+        self.inner.freeze_var(v);
+    }
+}
 
 /// Builds a 4-bit machine: s' = s + (en ? step : 0) ^ (inv ? mask : 0),
 /// bad when s == target.
@@ -119,11 +170,14 @@ proptest! {
                 .with_max_bound(MAX)
                 .with_coi(coi)
                 .with_preprocess(pre);
-            let mut bmc = Bmc::new(ts, opts);
-            bmc.check(ts, pool)
+            let mut bmc = Bmc::<EagerPass>::with_backend(ts, opts);
+            let result = bmc.check(ts, pool);
+            (result, bmc.stats().solver.preprocess_runs)
         };
-        let on = run(&ts, &mut pool, true, true);
-        let off = run(&ts, &mut pool, false, false);
+        let (on, on_passes) = run(&ts, &mut pool, true, true);
+        let (off, off_passes) = run(&ts, &mut pool, false, false);
+        prop_assert!(on_passes > 0, "the pipeline run must take passes");
+        prop_assert_eq!(off_passes, 0);
         match (&on, &off) {
             (BmcResult::Counterexample(a), BmcResult::Counterexample(b)) => {
                 prop_assert_eq!(a.depth, b.depth, "witness depth must match");

@@ -106,7 +106,8 @@ pub enum Command {
         conflict_budget: Option<u64>,
         /// Cancel remaining obligations once one finds a bug.
         fail_fast: bool,
-        /// Run SatELite-style CNF preprocessing before each solver call.
+        /// Let the solver run SatELite-style CNF preprocessing passes,
+        /// each once search has spent more than the pass costs.
         preprocess: bool,
         /// Slice each obligation to the cone of influence of its bad.
         coi: bool,

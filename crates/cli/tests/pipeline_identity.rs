@@ -33,6 +33,10 @@ fn verdict_key(outcome: &CheckOutcome) -> (u8, Option<String>, Option<usize>, Op
 
 #[test]
 fn catalog_verdicts_identical_with_and_without_pipeline() {
+    // Obligations that took a preprocessing pass with the pipeline on:
+    // the effort gate skips easy ones, and a sweep in which none takes
+    // a pass would compare nothing of the preprocessor.
+    let mut passed_obligations = 0;
     for case in all_cases() {
         // Cap the bound: verdict identity is about the pipeline, not
         // depth, and the full catalog runs twice in this test.
@@ -60,6 +64,11 @@ fn catalog_verdicts_identical_with_and_without_pipeline() {
                 case.id
             );
             if pipeline {
+                passed_obligations += report
+                    .obligations
+                    .iter()
+                    .filter(|o| o.stats.solver.preprocess_runs > 0)
+                    .count();
                 if let CheckOutcome::Bug { counterexample, .. } = &report.outcome {
                     assert!(
                         counterexample.replay(&composed, &pool),
@@ -72,4 +81,8 @@ fn catalog_verdicts_identical_with_and_without_pipeline() {
         }
         assert_eq!(keys[0], keys[1], "case {}: pipeline on vs off", case.id);
     }
+    assert!(
+        passed_obligations > 0,
+        "no catalog obligation took a preprocessing pass"
+    );
 }

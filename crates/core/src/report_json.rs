@@ -32,6 +32,7 @@ fn solver_stats_json(s: &SolverStats) -> Json {
         subsumed,
         eliminated_vars,
         preprocess_micros,
+        preprocess_runs,
         // Always 0; kept in the struct for the benchmark only.
         learnt_imported: _,
         // Portfolio-only bookkeeping; not part of the report schema.
@@ -53,6 +54,7 @@ fn solver_stats_json(s: &SolverStats) -> Json {
         ("subsumed", Json::num(subsumed)),
         ("eliminated_vars", Json::num(eliminated_vars)),
         ("preprocess_micros", Json::num(preprocess_micros)),
+        ("preprocess_runs", Json::num(preprocess_runs)),
     ])
 }
 

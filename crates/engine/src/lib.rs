@@ -95,7 +95,8 @@ pub struct VerifyRequest {
     pub conflict_budget: Option<u64>,
     /// Cancel remaining obligations once one finds a bug.
     pub fail_fast: bool,
-    /// Run SatELite-style CNF preprocessing before each solver call.
+    /// Let the solver run SatELite-style CNF preprocessing passes, each
+    /// once search has spent more than the pass costs.
     pub preprocess: bool,
     /// Slice each obligation to the cone of influence of its bad.
     pub coi: bool,

@@ -111,7 +111,7 @@ pub trait SatBackend {
     }
 
     /// Enables or disables in-solver CNF preprocessing (subsumption and
-    /// bounded variable elimination before search). The default
+    /// bounded variable elimination between searches). The default
     /// implementation ignores the request: a backend without a
     /// preprocessor just searches the unsimplified formula, which is
     /// always sound.

@@ -266,6 +266,9 @@ pub struct SolverStats {
     pub eliminated_vars: u64,
     /// Total time spent inside the CNF preprocessor, in microseconds.
     pub preprocess_micros: u64,
+    /// Preprocessing passes run (the effort gate's firings plus explicit
+    /// [`Solver::simplify`] calls).
+    pub preprocess_runs: u64,
     /// Learnt clauses exported to portfolio peers (clause sharing).
     pub shared_exported: u64,
     /// Peer clauses imported and installed (clause sharing).
@@ -298,6 +301,7 @@ impl SolverStats {
         self.subsumed += other.subsumed;
         self.eliminated_vars += other.eliminated_vars;
         self.preprocess_micros += other.preprocess_micros;
+        self.preprocess_runs += other.preprocess_runs;
         self.shared_exported += other.shared_exported;
         self.shared_imported += other.shared_imported;
         self.wasted_conflicts += other.wasted_conflicts;
@@ -327,6 +331,7 @@ impl SolverStats {
             preprocess_micros: self
                 .preprocess_micros
                 .saturating_sub(earlier.preprocess_micros),
+            preprocess_runs: self.preprocess_runs.saturating_sub(earlier.preprocess_runs),
             shared_exported: self.shared_exported.saturating_sub(earlier.shared_exported),
             shared_imported: self.shared_imported.saturating_sub(earlier.shared_imported),
             wasted_conflicts: self
@@ -344,8 +349,8 @@ impl fmt::Display for SolverStats {
             f,
             "decisions={} propagations={} conflicts={} restarts={} learnts={} deleted={} \
              binary_props={} gc_runs={} arena_bytes={} subsumed={} eliminated_vars={} \
-             preprocess_micros={} shared_exported={} shared_imported={} wasted_conflicts={} \
-             learnt_imported={} portfolio_winner={}",
+             preprocess_micros={} preprocess_runs={} shared_exported={} shared_imported={} \
+             wasted_conflicts={} learnt_imported={} portfolio_winner={}",
             self.decisions,
             self.propagations,
             self.conflicts,
@@ -358,6 +363,7 @@ impl fmt::Display for SolverStats {
             self.subsumed,
             self.eliminated_vars,
             self.preprocess_micros,
+            self.preprocess_runs,
             self.shared_exported,
             self.shared_imported,
             self.wasted_conflicts,
@@ -467,7 +473,8 @@ pub struct Solver {
     decision_heuristic: bool,
     stats: SolverStats,
     num_learnts: u64,
-    /// Whether [`Solver::preprocess`] runs inside solve calls.
+    /// Whether solve calls run [`Solver::preprocess`] when the effort
+    /// gate says a pass is due.
     preprocess_enabled: bool,
     /// Variables the preprocessor must never eliminate (external
     /// interface: assumption carriers, frame boundaries).
@@ -482,9 +489,12 @@ pub struct Solver {
     /// Elimination records in elimination order (model reconstruction
     /// walks it in reverse).
     elim_stack: Vec<ElimRecord>,
-    /// Clause count right after the last preprocessor run; gates when the
-    /// next run is worthwhile.
-    last_simp_clauses: usize,
+    /// `stats.propagations` right after the last preprocessing pass (0
+    /// before the first): the effort gate counts search from there.
+    simp_props: u64,
+    /// Whether an irredundant clause was added since the last pass; a
+    /// database without one has nothing new for a pass to simplify.
+    simp_added: bool,
     /// Observability sampling state; only touched at the coarse budget
     /// tick, and only when `aqed_obs::enabled()`.
     obs: ObsState,
@@ -514,6 +524,14 @@ struct ObsHandles {
 /// How many search steps (conflicts + decisions) pass between armed
 /// budget inspections.
 const BUDGET_CHECK_INTERVAL: u64 = 64;
+
+/// The preprocessing effort gate: a pass is due once search has made
+/// this many propagations, per clause the pass would read, since the
+/// last pass (MiniSat's `simpDB_props` rule). A pass costs a few
+/// occurrence-list visits per clause, so it waits until search has
+/// spent more. EXPERIMENTS.md ("Feature ledger") has the sweep behind
+/// the value.
+const SIMP_PROPS_PER_CLAUSE: u64 = 30;
 
 impl Default for Solver {
     fn default() -> Self {
@@ -602,7 +620,8 @@ impl Solver {
             eliminated: Vec::new(),
             elim_index: Vec::new(),
             elim_stack: Vec::new(),
-            last_simp_clauses: 0,
+            simp_props: 0,
+            simp_added: false,
             obs: ObsState::default(),
         }
     }
@@ -873,6 +892,7 @@ impl Solver {
     /// Stores an already-simplified clause (no duplicates, tautologies,
     /// or level-0-false literals).
     fn commit_simplified(&mut self, out: &[Lit]) -> bool {
+        self.simp_added = true;
         match out.len() {
             0 => {
                 self.ok = false;
@@ -1478,14 +1498,8 @@ impl Solver {
         // An assumption over an eliminated variable forces it back into
         // the clause database before search can branch on it.
         self.reactivate_touched(assumptions);
-        if self.preprocess_enabled && self.ok {
-            // Growth gate: run on the first solve, then again only after
-            // the clause database has grown by half (incremental BMC adds
-            // a frame's worth of clauses between calls).
-            let n = self.num_clauses();
-            if n > 0 && 2 * n >= 3 * self.last_simp_clauses {
-                self.preprocess(assumptions);
-            }
+        if self.ok && self.simplify_due() {
+            self.preprocess(assumptions);
         }
         if !self.ok {
             // Reactivation or preprocessing derived level-0 unsatisfiability.
@@ -1524,6 +1538,14 @@ impl Solver {
                     // Damp glucose's fast average so one trigger doesn't
                     // immediately re-fire after the restart.
                     self.lbd_fast = self.lbd_slow;
+                    // A restart is at level 0 with no live clause
+                    // reference, so a long solve can take its pass here.
+                    if self.simplify_due() {
+                        self.preprocess(assumptions);
+                        if !self.ok {
+                            break SolveResult::Unsat;
+                        }
+                    }
                 }
             }
         };
@@ -1755,13 +1777,41 @@ impl Solver {
 
     /// Enables or disables CNF preprocessing (subsumption, self-subsuming
     /// resolution, bounded variable elimination) inside solve calls. Off
-    /// by default. Eliminated variables stay fully usable from outside:
-    /// model queries reconstruct their values, and a later clause or
-    /// assumption over one transparently reactivates it — freezing
+    /// by default. A pass runs at the start of a solve call or at a
+    /// restart, once an irredundant clause was added since the last pass
+    /// and search has since made 30 propagations per clause the pass
+    /// would read; so an easy first solve searches plain. Eliminated
+    /// variables stay fully usable from outside: model queries
+    /// reconstruct their values, and a later clause or assumption over
+    /// one transparently reactivates it — freezing
     /// ([`Solver::freeze_var`]) is a throughput measure for variables
     /// known to be re-constrained soon, not a correctness requirement.
     pub fn set_preprocessing(&mut self, enabled: bool) {
         self.preprocess_enabled = enabled;
+    }
+
+    /// Runs one preprocessing pass now, whether or not preprocessing is
+    /// enabled and the effort gate is open (MiniSat's `eliminate()`).
+    /// Only frozen and level-0-assigned variables are exempt; an
+    /// assumption over an eliminated variable later reactivates it.
+    /// Returns `false` if the formula is unsatisfiable at the top level.
+    pub fn simplify(&mut self) -> bool {
+        if self.ok {
+            self.preprocess(&[]);
+        }
+        self.ok
+    }
+
+    /// Whether the effort gate opens a preprocessing pass: preprocessing
+    /// is on, an irredundant clause arrived since the last pass, and
+    /// search has since made [`SIMP_PROPS_PER_CLAUSE`] propagations per
+    /// clause the pass would read. It counts, never times, so identical
+    /// runs take identical passes.
+    fn simplify_due(&self) -> bool {
+        let read = (self.clauses.len() + self.num_binary) as u64;
+        self.preprocess_enabled
+            && self.simp_added
+            && self.stats.propagations - self.simp_props >= SIMP_PROPS_PER_CLAUSE * read
     }
 
     /// Marks `v` as permanently exempt from variable elimination. Callers
@@ -1886,12 +1936,6 @@ impl Solver {
         let clauses_in = cnf.len();
         let outcome = Preprocessor::new(self.num_vars(), cnf, frozen).run(&armed);
         if aqed_obs::enabled() {
-            let m = aqed_obs::metrics::global();
-            m.counter("pp.rounds").inc();
-            m.counter("pp.subsumed").add(outcome.subsumed);
-            m.counter("pp.reenqueues").add(outcome.reenqueued);
-            m.histogram("pp.elims_per_round")
-                .record(outcome.eliminated.len() as u64);
             obs_span.record("clauses_in", clauses_in);
             obs_span.record("clauses_out", outcome.clauses.len());
             obs_span.record("subsumed", outcome.subsumed);
@@ -1901,7 +1945,9 @@ impl Solver {
         }
         self.rebuild(outcome, learnt_keep);
         self.stats.preprocess_micros += start.elapsed().as_micros() as u64;
-        self.last_simp_clauses = self.num_clauses().max(1);
+        self.stats.preprocess_runs += 1;
+        self.simp_props = self.stats.propagations;
+        self.simp_added = false;
     }
 
     /// The clause restricted to the level-0 trail: `None` if satisfied,
@@ -2503,6 +2549,7 @@ mod tests {
         let mut s = Solver::new();
         s.set_preprocessing(true);
         let v = chain_clauses(&mut s, 8);
+        assert!(s.simplify());
         assert_eq!(s.solve(), SolveResult::Sat);
         // Interior chain variables are eliminated (each sits in exactly
         // two clauses), yet the reconstructed model must satisfy every
@@ -2545,6 +2592,7 @@ mod tests {
         let mut s = Solver::new();
         s.set_preprocessing(true);
         let v = chain_clauses(&mut s, 6);
+        assert!(s.simplify());
         assert_eq!(s.solve(), SolveResult::Sat);
         assert!(s.stats().eliminated_vars > 0);
         // Constraining an eliminated interior variable through new unit
@@ -2563,19 +2611,139 @@ mod tests {
         for &x in &v {
             s.freeze_var(x);
         }
+        assert!(s.simplify());
+        assert_eq!(s.stats().preprocess_runs, 1);
         assert_eq!(s.solve(), SolveResult::Sat);
         assert_eq!(s.stats().eliminated_vars, 0);
     }
 
     #[test]
     fn preprocessing_detects_top_level_unsat() {
+        // v0 and ¬v3 each follow by resolution only, so adding these
+        // clauses propagates nothing: the pass finds the contradiction.
         let mut s = Solver::new();
         s.set_preprocessing(true);
         let v = chain_clauses(&mut s, 4);
-        s.add_clause([v[0].pos()]);
-        s.add_clause([v[3].neg()]);
+        let (x, y) = (s.new_var(), s.new_var());
+        s.add_clause([v[0].pos(), x.pos()]);
+        s.add_clause([v[0].pos(), x.neg()]);
+        s.add_clause([v[3].neg(), y.pos()]);
+        s.add_clause([v[3].neg(), y.neg()]);
+        assert!(!s.simplify());
+        assert_eq!(s.stats().preprocess_runs, 1);
         assert_eq!(s.solve(), SolveResult::Unsat);
         assert_eq!(s.solve(), SolveResult::Unsat);
+    }
+
+    /// `m` random 3-clauses over `v`. With `planted`, every clause is
+    /// satisfied by that assignment (one literal is flipped to agree).
+    fn random_3cnf(
+        rng: &mut XorShift64,
+        v: &[Var],
+        m: usize,
+        planted: Option<&[bool]>,
+    ) -> Vec<Vec<Lit>> {
+        let n = v.len() as u64;
+        (0..m)
+            .map(|_| {
+                let mut c: Vec<Lit> = (0..3)
+                    .map(|_| v[(rng.next_u64() % n) as usize].lit(rng.next_u64() & 1 == 1))
+                    .collect();
+                if let Some(model) = planted {
+                    if !c.iter().any(|l| model[l.var().index()] == l.is_positive()) {
+                        c[0] = !c[0];
+                    }
+                }
+                c
+            })
+            .collect()
+    }
+
+    fn model_satisfies(s: &Solver, clauses: &[Vec<Lit>]) -> bool {
+        clauses
+            .iter()
+            .all(|c| c.iter().any(|&l| s.model_lit(l) == Some(true)))
+    }
+
+    /// An incremental session: batches of random 3-clauses over 100
+    /// variables, each followed by a solve under one assumption. Every
+    /// model is checked against all clauses and the assumption so far.
+    fn incremental_3cnf_session(preprocess: bool) -> (Vec<SolveResult>, SolverStats) {
+        let mut rng = XorShift64::new(11);
+        let mut s = Solver::new();
+        s.set_preprocessing(preprocess);
+        let v = vars(&mut s, 200);
+        let mut all: Vec<Vec<Lit>> = Vec::new();
+        let mut results = Vec::new();
+        for _ in 0..10 {
+            for c in random_3cnf(&mut rng, &v, 86, None) {
+                s.add_clause(c.iter().copied());
+                all.push(c);
+            }
+            let a = v[(rng.next_u64() % 200) as usize].lit(rng.next_u64() & 1 == 1);
+            let r = s.solve_with(&[a]);
+            if r == SolveResult::Sat {
+                assert_eq!(s.model_lit(a), Some(true));
+                assert!(model_satisfies(&s, &all), "model violates a clause");
+            }
+            results.push(r);
+        }
+        (results, s.stats())
+    }
+
+    #[test]
+    fn easy_first_solve_runs_no_pass() {
+        let mut s = Solver::new();
+        s.set_preprocessing(true);
+        let v = chain_clauses(&mut s, 8);
+        assert_eq!(s.solve_with(&[v[0].pos()]), SolveResult::Sat);
+        assert_eq!(s.stats().preprocess_runs, 0);
+        assert_eq!(s.stats().eliminated_vars, 0);
+    }
+
+    #[test]
+    fn effort_gate_fires_on_search_and_keeps_verdicts() {
+        let (on, on_stats) = incremental_3cnf_session(true);
+        let (off, off_stats) = incremental_3cnf_session(false);
+        assert_eq!(on, off);
+        assert!(on_stats.preprocess_runs >= 1, "{on_stats}");
+        assert_eq!(off_stats.preprocess_runs, 0);
+    }
+
+    #[test]
+    fn pass_at_a_restart_under_assumptions_keeps_the_model_valid() {
+        let mut rng = XorShift64::new(5);
+        let mut s = Solver::new();
+        s.set_preprocessing(true);
+        let v = vars(&mut s, 250);
+        let hidden: Vec<bool> = (0..250).map(|_| rng.next_u64() & 1 == 1).collect();
+        let clauses = random_3cnf(&mut rng, &v, 1050, Some(&hidden));
+        for c in &clauses {
+            s.add_clause(c.iter().copied());
+        }
+        let assumptions: Vec<Lit> = v[..4].iter().map(|&x| x.lit(hidden[x.index()])).collect();
+        // A fresh solver has propagated nothing, so the gate is shut at
+        // the top of this first call: any pass ran at a restart.
+        assert_eq!(s.solve_with(&assumptions), SolveResult::Sat);
+        let stats = s.stats();
+        assert!(stats.preprocess_runs >= 1, "{stats}");
+        assert!(stats.restarts >= 1);
+        for &a in &assumptions {
+            assert_eq!(s.model_lit(a), Some(true));
+        }
+        assert!(model_satisfies(&s, &clauses));
+    }
+
+    #[test]
+    fn identical_runs_give_identical_stats() {
+        let strip = |s: SolverStats| SolverStats {
+            preprocess_micros: 0,
+            ..s
+        };
+        let (a_results, a) = incremental_3cnf_session(true);
+        let (b_results, b) = incremental_3cnf_session(true);
+        assert_eq!(a_results, b_results);
+        assert_eq!(strip(a), strip(b));
     }
 
     #[test]
@@ -2604,6 +2772,7 @@ mod tests {
         for round in 0..6 {
             // An eliminated interior variable shows up as an assumption:
             // it must reactivate, and the chain semantics must hold.
+            assert!(s.simplify());
             let x = v[2 + round];
             let sat = s.solve_with(&[v[0].pos(), x.pos()]);
             assert_eq!(sat, SolveResult::Sat, "round {round}");
@@ -2638,6 +2807,7 @@ mod tests {
             subsumed: 10,
             eliminated_vars: 11,
             preprocess_micros: 12,
+            preprocess_runs: 17,
             shared_exported: 13,
             shared_imported: 14,
             wasted_conflicts: 15,
@@ -2657,6 +2827,7 @@ mod tests {
             subsumed: 1000,
             eliminated_vars: 1100,
             preprocess_micros: 1200,
+            preprocess_runs: 1700,
             shared_exported: 1300,
             shared_imported: 1400,
             wasted_conflicts: 1500,
@@ -2688,6 +2859,7 @@ mod tests {
         assert_eq!(a.subsumed, 1010);
         assert_eq!(a.eliminated_vars, 1111);
         assert_eq!(a.preprocess_micros, 1212);
+        assert_eq!(a.preprocess_runs, 1717);
         assert_eq!(a.shared_exported, 1313);
         assert_eq!(a.shared_imported, 1414);
         assert_eq!(a.wasted_conflicts, 1515);
@@ -2706,6 +2878,7 @@ mod tests {
             "shared_imported=1414",
             "wasted_conflicts=1515",
             "learnt_imported=1616",
+            "preprocess_runs=1717",
             "portfolio_winner=2",
         ] {
             assert!(shown.contains(needle), "{needle} missing from {shown}");

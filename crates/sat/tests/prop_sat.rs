@@ -352,6 +352,11 @@ proptest! {
                 c.iter().map(|&l| vars[(l.unsigned_abs() - 1) as usize].lit(l > 0)),
             );
         }
+        // The effort gate never opens on formulas this small: run the
+        // pass explicitly.
+        let ok = s.simplify();
+        prop_assert!(ok || !expect, "a pass refuted a satisfiable formula");
+        prop_assert!(!ok || s.stats().preprocess_runs == 1, "simplify ran no pass");
         let got = s.solve();
         prop_assert_eq!(got, if expect { SolveResult::Sat } else { SolveResult::Unsat });
         if got == SolveResult::Sat {
@@ -402,6 +407,12 @@ proptest! {
                     c.iter().map(|&l| vars[(l.unsigned_abs() - 1) as usize].lit(l > 0)),
                 );
                 so_far.push(c);
+            }
+            // One pass per batch, so the next batch and these assumptions
+            // meet eliminated variables.
+            let runs = s.stats().preprocess_runs;
+            if s.simplify() {
+                prop_assert_eq!(s.stats().preprocess_runs, runs + 1);
             }
             let assumed: Vec<i32> = (0..rng.gen_range(0..3usize))
                 .map(|_| {

@@ -44,10 +44,20 @@ verdict() {
     awk '!found && /^(bug:|clean|inconclusive|error)/ { found = 1; line = $0 }
          END { sub(/ \(.*/, "", line); print line }'
 }
+# The effort gate skips preprocessing on easy runs, so the default runs
+# write their report JSON and at least one must show a pass: identity
+# over runs that never preprocessed would pin nothing of the pass.
+pp_json=$(mktemp)
+trap 'rm -f "$pp_json"' EXIT
+passed_runs=0
 for case in motivating_clock_enable dataflow_fifo_sizing aes_v1; do
     for variant in "" "--healthy"; do
         on_rc=0
-        on_out=$(./target/release/aqed verify "$case" $variant --bound 8 | verdict) || on_rc=$?
+        on_out=$(./target/release/aqed verify "$case" $variant --bound 8 \
+            --report-json "$pp_json" | verdict) || on_rc=$?
+        if grep -qE '"preprocess_runs":[1-9]' "$pp_json"; then
+            passed_runs=$((passed_runs + 1))
+        fi
         off_rc=0
         off_out=$(./target/release/aqed verify "$case" $variant --bound 8 \
             --no-preprocess --no-coi | verdict) || off_rc=$?
@@ -60,6 +70,13 @@ for case in motivating_clock_enable dataflow_fifo_sizing aes_v1; do
         echo "  $case $variant: rc=$on_rc verdict '$on_out' identical"
     done
 done
+rm -f "$pp_json"
+trap - EXIT
+if [ "$passed_runs" -eq 0 ]; then
+    echo "no default run took a preprocessing pass; the identity check is vacuous" >&2
+    exit 1
+fi
+echo "  $passed_runs default run(s) took a preprocessing pass"
 
 echo "== portfolio identity (CLI, --backend portfolio vs cdcl, whole catalog)"
 # The portfolio backend races diversified solvers and shares learned
