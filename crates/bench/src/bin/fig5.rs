@@ -4,7 +4,7 @@
 //!
 //! Run with `cargo run --release -p aqed-bench --bin fig5`.
 
-use aqed_bench::rule;
+use aqed_bench::{host_line, rule};
 use aqed_core::AqedHarness;
 use aqed_designs::memctrl_cases;
 use aqed_expr::ExprPool;
@@ -26,7 +26,8 @@ fn cached_detection() -> Option<std::collections::HashMap<String, (bool, bool)>>
 
 fn main() {
     let cases = memctrl_cases();
-    println!("Fig. 5: Memory-controller unit bugs detected\n");
+    println!("Fig. 5: Memory-controller unit bugs detected");
+    println!("{}\n", host_line());
     let cached = cached_detection();
     if cached.is_some() {
         println!("(reusing per-bug results from results/detection.tsv — run table1 to refresh)\n");

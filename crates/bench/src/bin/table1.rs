@@ -7,7 +7,7 @@
 //! `AQED_NO_COI=1` / `AQED_NO_PREPROCESS=1` to ablate the simplification
 //! pipeline stages.
 
-use aqed_bench::{fmt_secs, rule, Summary};
+use aqed_bench::{fmt_secs, host_line, rule, Summary};
 use aqed_bmc::BmcOptions;
 use aqed_core::AqedHarness;
 use aqed_designs::memctrl_cases;
@@ -28,7 +28,8 @@ fn main() {
         "({} tracked bug variants across FIFO / double-buffer / line-buffer configurations)",
         cases.len()
     );
-    println!("simplification pipeline: coi={coi} preprocess={preprocess}\n");
+    println!("simplification pipeline: coi={coi} preprocess={preprocess}");
+    println!("{}\n", host_line());
 
     let mut aqed_runtimes = Vec::new();
     let mut aqed_traces = Vec::new();

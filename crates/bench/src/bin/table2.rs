@@ -5,13 +5,14 @@
 //!
 //! Run with `cargo run --release -p aqed-bench --bin table2`.
 
-use aqed_bench::{fmt_mmss, rule};
+use aqed_bench::{fmt_mmss, host_line, rule};
 use aqed_core::AqedHarness;
 use aqed_designs::{hls_cases, ExpectedProperty};
 use aqed_expr::ExprPool;
 
 fn main() {
-    println!("Table 2: A-QED results for HLS designs (CEX = counterexample)\n");
+    println!("Table 2: A-QED results for HLS designs (CEX = counterexample)");
+    println!("{}\n", host_line());
     println!(
         "{:<12} {:<14} {:>5} {:>12} {:>14}",
         "source", "design", "bug", "runtime", "CEX (cycles)"

@@ -78,6 +78,20 @@ pub fn rule(width: usize) {
     println!("{}", "-".repeat(width));
 }
 
+/// The host facts a printed timing depends on: how many cores this
+/// process may use (`available_parallelism`) and the build profile.
+#[must_use]
+pub fn host_line() -> String {
+    let cores = std::thread::available_parallelism()
+        .map_or_else(|_| "unknown".to_string(), |n| n.to_string());
+    let profile = if cfg!(debug_assertions) {
+        "dev"
+    } else {
+        "release"
+    };
+    format!("host: {cores} cores available, {profile} build")
+}
+
 /// Writes a machine-readable bench summary to
 /// `results/bench_<name>.json` (creating `results/`), wrapped in a
 /// stable envelope so CI diffs and dashboards can consume every bench
@@ -122,6 +136,14 @@ mod tests {
     #[should_panic(expected = "empty sample")]
     fn summary_rejects_empty() {
         let _ = Summary::of(&[]);
+    }
+
+    #[test]
+    fn host_line_names_cores_and_profile() {
+        let line = host_line();
+        assert!(line.starts_with("host: "), "{line}");
+        assert!(line.contains(" cores available, "), "{line}");
+        assert!(line.ends_with(" build"), "{line}");
     }
 
     #[test]

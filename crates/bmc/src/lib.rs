@@ -102,10 +102,6 @@ pub struct BmcOptions {
     /// width on every solve. The obligation scheduler sets `Some(0)` on
     /// first attempts so easy obligations stay on one solver.
     pub escalation_level: Option<u32>,
-    /// Label forwarded to the backend via
-    /// [`SatBackend::set_metrics_scope`] (e.g. `"prop=fc"`), separating
-    /// the backend's metric histograms per obligation / property class.
-    pub metrics_scope: Option<String>,
     /// Race width forwarded to the backend via
     /// [`SatBackend::set_portfolio`] (default 4). Single-solver backends
     /// ignore it.
@@ -126,7 +122,6 @@ impl Default for BmcOptions {
             coi: true,
             preprocess: true,
             escalation_level: None,
-            metrics_scope: None,
             portfolio_workers: 4,
             clause_sharing: true,
         }
@@ -188,13 +183,6 @@ impl BmcOptions {
     #[must_use]
     pub fn with_escalation_level(mut self, level: Option<u32>) -> Self {
         self.escalation_level = level;
-        self
-    }
-
-    /// Returns the options with a backend metrics scope label.
-    #[must_use]
-    pub fn with_metrics_scope(mut self, scope: Option<String>) -> Self {
-        self.metrics_scope = scope;
         self
     }
 
@@ -865,9 +853,6 @@ impl<B: SatBackend + Default> Session<B> {
         let mut backend = B::default();
         backend.set_preprocessing(options.preprocess);
         backend.set_portfolio(options.portfolio_workers, options.clause_sharing);
-        if let Some(scope) = &options.metrics_scope {
-            backend.set_metrics_scope(scope);
-        }
         let mut session = Session {
             backend,
             blaster: BitBlaster::new(),

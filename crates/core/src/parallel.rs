@@ -762,11 +762,7 @@ fn check_obligation<B: SatBackend + Default>(
     // portfolio backend should apply its own default (race at full
     // width immediately) rather than being pinned to one solver.
     let steer = conflict_budget.is_some() && sched.max_attempts > 1;
-    let mut bmc_options = options.clone();
-    if bmc_options.metrics_scope.is_none() {
-        bmc_options.metrics_scope = Some(format!("prop={}", ob.property));
-    }
-    let mut bmc: Bmc<B> = Bmc::with_backend(composed, bmc_options);
+    let mut bmc: Bmc<B> = Bmc::with_backend(composed, options.clone());
     bmc.set_coi_cache(Arc::clone(coi_cache));
     bmc.select_bad_indices(composed, &[ob.bad_index]);
     bmc.set_warm_start(WarmStart { skip_to });

@@ -499,7 +499,7 @@ mod tests {
         let reg = MetricsRegistry::new();
         reg.counter("serve.jobs.done").add(7);
         reg.gauge("serve.queue.depth").set(3);
-        let h = reg.histogram_scoped("bmc.solve.ns", "prop=FC");
+        let h = reg.histogram("bmc.solve.ns{prop=FC}");
         h.record(1_000);
         h.record(2_000);
         let agg = Aggregator::new(&[Duration::from_secs(10)]);

@@ -6,8 +6,9 @@
 //!   per-thread buffering, flushed in batches to a pluggable
 //!   [`TraceSink`] (JSONL file for `--trace-out`, in-memory for tests);
 //! - a **metrics registry** ([`metrics::MetricsRegistry`]) of named
-//!   counters, gauges and log-bucketed histograms, sampled by the hot
-//!   layers at coarse ticks (e.g. the CDCL budget poll);
+//!   counters, gauges and log-bucketed histograms, updated by the layers
+//!   at coarse points (COI and artifact cache lookups, daemon job
+//!   outcomes), never per propagation;
 //! - a **minimal JSON layer** ([`json`]) shared by the sinks, the
 //!   `--report-json` serializer and the `trace_report` tool, since the
 //!   build environment has no serde.
@@ -42,7 +43,8 @@
 //!   balance is checkable), `"I"` (instant event), `"b"`/`"e"` (async
 //!   span begin/end, paired by `id` rather than thread stack order)
 //! - `name` — static event name, dot-namespaced by layer
-//!   (`sat.*`, `pp.*`, `bmc.*`, `pipeline.*`, `obligation.*`, ...)
+//!   (`sat.*`, `bmc.*`, `pipeline.*`, `obligation.*`, `portfolio.*`,
+//!   `job.*`, ...)
 //! - `id` — async span id (only on `"b"`/`"e"` events); process-unique,
 //!   so one logical operation can be followed across threads (an
 //!   obligation hopping between scheduler workers and portfolio solver

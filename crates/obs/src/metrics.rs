@@ -228,15 +228,6 @@ impl MetricsRegistry {
         map.entry(name.to_owned()).or_default().clone()
     }
 
-    /// Returns (creating on first use) a scoped variant of the histogram
-    /// named `name`, stored as `name{scope}`. Scoping gives one metric a
-    /// separate series per label (portfolio worker, property class)
-    /// while the unscoped series keeps its process-global meaning.
-    #[must_use]
-    pub fn histogram_scoped(&self, name: &str, scope: &str) -> Histogram {
-        self.histogram(&format!("{name}{{{scope}}}"))
-    }
-
     /// Drops every metric. Handles held by call sites detach (they keep
     /// counting into orphaned cells); used between CLI runs and tests.
     pub fn reset(&self) {

@@ -134,13 +134,6 @@ pub trait SatBackend {
         let _ = level;
     }
 
-    /// Labels metric samples emitted during following solve calls (e.g.
-    /// `"prop=fc"`), so per-obligation histograms can be separated by
-    /// property class. Backends that emit no metrics ignore it.
-    fn set_metrics_scope(&mut self, scope: &str) {
-        let _ = scope;
-    }
-
     /// Sets the race width and the clause-sharing switch of a portfolio
     /// backend. Single-solver backends ignore it.
     fn set_portfolio(&mut self, workers: usize, sharing: bool) {
@@ -207,10 +200,6 @@ impl SatBackend for Solver {
 
     fn freeze_var(&mut self, v: Var) {
         Solver::freeze_var(self, v);
-    }
-
-    fn set_metrics_scope(&mut self, scope: &str) {
-        Solver::set_metrics_scope(self, Some(scope.to_string()));
     }
 }
 
@@ -387,10 +376,6 @@ impl SatBackend for DimacsBackend {
 
     fn freeze_var(&mut self, v: Var) {
         self.inner.freeze_var(v);
-    }
-
-    fn set_metrics_scope(&mut self, scope: &str) {
-        SatBackend::set_metrics_scope(&mut self.inner, scope);
     }
 }
 

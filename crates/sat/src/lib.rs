@@ -3,7 +3,11 @@
 //!
 //! The solver implements the standard modern architecture:
 //!
-//! * two-watched-literal propagation with blocker literals,
+//! * two-watched-literal propagation with blocker literals over a
+//!   literal-indexed value array (one load per watcher, no polarity
+//!   branch), each watch list walked detached from the solver; both
+//!   are layout choices that visit watchers in the order an in-place
+//!   walk would, so they leave the search unchanged,
 //! * flat-arena clause storage with copying garbage collection, and
 //!   binary clauses inlined into the watch lists (propagation of a
 //!   two-literal clause never touches clause memory),
@@ -152,22 +156,13 @@ impl fmt::Display for Lit {
     }
 }
 
-/// Ternary assignment value used on the trail.
+/// Ternary truth value of a literal under the solver's current
+/// assignment (the solver stores one per literal, not per variable).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum LBool {
     True,
     False,
     Undef,
-}
-
-impl LBool {
-    pub(crate) fn from_bool(b: bool) -> Self {
-        if b {
-            LBool::True
-        } else {
-            LBool::False
-        }
-    }
 }
 
 /// Reference to a clause in the solver's arena (niche-optimized so

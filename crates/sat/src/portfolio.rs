@@ -77,7 +77,6 @@ pub struct PortfolioBackend {
     /// Scheduler hint: `Some(0)` = single-solver mode, `Some(1..)` =
     /// full race, `None` (no scheduler) = always race.
     escalation: Option<u32>,
-    metrics_scope: Option<String>,
     /// Which worker's model answers [`SatBackend::value`] queries.
     model_from: Option<usize>,
     /// Portfolio-level statistics (wasted work, winner id) that no
@@ -113,7 +112,6 @@ impl PortfolioBackend {
             preprocess: false,
             stop_reason: None,
             escalation: None,
-            metrics_scope: None,
             model_from: None,
             extra: SolverStats::default(),
         }
@@ -184,7 +182,6 @@ impl PortfolioBackend {
         let slot = &mut self.workers[0];
         slot.solver.clear_sharing();
         slot.solver.set_budget(self.armed.clone());
-        slot.solver.set_metrics_scope(self.metrics_scope.clone());
         let result = slot.solver.solve_with(assumptions);
         if result == SolveResult::Sat {
             self.model_from = Some(0);
@@ -213,11 +210,6 @@ impl PortfolioBackend {
                 Some(p) => slot.solver.set_sharing(p.clone(), i),
                 None => slot.solver.clear_sharing(),
             }
-            let scope = match &self.metrics_scope {
-                Some(base) => format!("{base},worker={i}"),
-                None => format!("worker={i}"),
-            };
-            slot.solver.set_metrics_scope(Some(scope));
         }
 
         let winner = AtomicUsize::new(usize::MAX);
@@ -412,10 +404,6 @@ impl SatBackend for PortfolioBackend {
 
     fn set_escalation_level(&mut self, level: u32) {
         self.escalation = Some(level);
-    }
-
-    fn set_metrics_scope(&mut self, scope: &str) {
-        self.metrics_scope = Some(scope.to_string());
     }
 
     /// Sets the race width (clamped to `1..=`[`MAX_WORKERS`]) and clause

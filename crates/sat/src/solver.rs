@@ -7,6 +7,14 @@
 //! clauses never touch the arena — they are inlined into the watch
 //! lists, so binary propagation (the bulk of Tseitin-encoded problems)
 //! resolves from the watcher alone without a single clause lookup.
+//!
+//! Truth values are stored per literal, not per variable: `vals` holds
+//! one entry for each [`Lit::index`], and an assignment writes both of a
+//! variable's slots, so a literal's value is one load with no polarity
+//! branch. `propagate` walks each watch list detached from the solver.
+//! Both are layout choices that leave the search alone:
+//! `tests/search_golden.rs` pins the decision, conflict and learnt
+//! counts of every catalog obligation.
 
 use crate::alloc::ClauseAllocator;
 use crate::budget::{ArmedBudget, StopReason};
@@ -421,7 +429,10 @@ pub struct Solver {
     /// Binary clauses attached so far (they live only in watch lists).
     num_binary: usize,
     watches: Vec<Vec<Watcher>>,
-    assigns: Vec<LBool>,
+    /// Truth value of every literal, indexed by [`Lit::index`]: a
+    /// variable's two slots always hold opposite values or are both
+    /// `Undef`. Per-variable reads use the positive slot, `vals[2v]`.
+    vals: Vec<LBool>,
     level: Vec<u32>,
     reason: Vec<Option<Reason>>,
     trail: Vec<Lit>,
@@ -466,10 +477,6 @@ pub struct Solver {
     /// Peer clauses picked up at the budget tick, waiting for decision
     /// level 0 to be installed.
     pending_import: Vec<SharedClause>,
-    /// Scope label baked into this solver's metric names (portfolio
-    /// worker id, property class); `None` records into the
-    /// process-global series.
-    metrics_scope: Option<String>,
     decision_heuristic: bool,
     stats: SolverStats,
     num_learnts: u64,
@@ -500,25 +507,14 @@ pub struct Solver {
     obs: ObsState,
 }
 
-/// CDCL progress sampling: resolved metric handles plus the previous
-/// sample point, so each tick records deltas (conflict rate,
-/// per-propagation latency) instead of cumulative totals.
+/// CDCL progress sampling state.
 #[derive(Debug, Clone, Default)]
 struct ObsState {
-    handles: Option<ObsHandles>,
-    /// `(wall clock, conflicts, propagations)` at the previous sample.
-    last: Option<(std::time::Instant, u64, u64)>,
+    /// Progress ticks taken while observability was on; every 16th
+    /// emits a `sat.progress` event.
     samples: u64,
     /// Conflict count already folded into the thread's job meter.
     live_flushed: u64,
-}
-
-#[derive(Debug, Clone)]
-struct ObsHandles {
-    /// Conflicts per second between consecutive budget ticks.
-    conflict_rate: aqed_obs::metrics::Histogram,
-    /// Mean nanoseconds per propagation between consecutive ticks.
-    prop_latency: aqed_obs::metrics::Histogram,
 }
 
 /// How many search steps (conflicts + decisions) pass between armed
@@ -539,29 +535,6 @@ impl Default for Solver {
     }
 }
 
-/// Truth value of `l` under the current assignment (free function so
-/// propagation can hold a clause borrow at the same time).
-#[inline]
-fn lit_value(assigns: &[LBool], l: Lit) -> LBool {
-    match assigns[l.var().index()] {
-        LBool::Undef => LBool::Undef,
-        LBool::True => {
-            if l.is_positive() {
-                LBool::True
-            } else {
-                LBool::False
-            }
-        }
-        LBool::False => {
-            if l.is_positive() {
-                LBool::False
-            } else {
-                LBool::True
-            }
-        }
-    }
-}
-
 impl Solver {
     /// Creates an empty solver with the default configuration.
     #[must_use]
@@ -579,7 +552,7 @@ impl Solver {
             learnts: Vec::new(),
             num_binary: 0,
             watches: Vec::new(),
-            assigns: Vec::new(),
+            vals: Vec::new(),
             level: Vec::new(),
             reason: Vec::new(),
             trail: Vec::new(),
@@ -611,7 +584,6 @@ impl Solver {
             glue_tick: 0,
             share: None,
             pending_import: Vec::new(),
-            metrics_scope: None,
             decision_heuristic: true,
             stats: SolverStats::default(),
             num_learnts: 0,
@@ -654,21 +626,10 @@ impl Solver {
         self.share = None;
     }
 
-    /// Sets the scope label baked into this solver's metric names
-    /// (recorded as `name{scope}`), so portfolio workers and property
-    /// classes get separate histogram series. `None` restores the
-    /// process-global series.
-    pub fn set_metrics_scope(&mut self, scope: Option<String>) {
-        if self.metrics_scope != scope {
-            self.metrics_scope = scope;
-            self.obs.handles = None;
-        }
-    }
-
     /// Number of variables created so far.
     #[must_use]
     pub fn num_vars(&self) -> usize {
-        self.assigns.len()
+        self.level.len()
     }
 
     /// Number of clauses currently in the database (original + learned,
@@ -736,8 +697,9 @@ impl Solver {
 
     /// Creates a fresh variable.
     pub fn new_var(&mut self) -> Var {
-        let v = Var(u32::try_from(self.assigns.len()).expect("too many variables"));
-        self.assigns.push(LBool::Undef);
+        let v = Var(u32::try_from(self.level.len()).expect("too many variables"));
+        self.vals.push(LBool::Undef);
+        self.vals.push(LBool::Undef);
         self.level.push(0);
         self.reason.push(None);
         self.activity.push(0.0);
@@ -750,7 +712,7 @@ impl Solver {
         self.eliminated.push(false);
         self.elim_index.push(u32::MAX);
         self.glue_stamp.push(0);
-        self.heap.grow(self.assigns.len());
+        self.heap.grow(self.level.len());
         self.heap.insert(v.index(), &self.activity);
         v
     }
@@ -762,7 +724,7 @@ impl Solver {
 
     #[inline]
     fn value_lit(&self, l: Lit) -> LBool {
-        lit_value(&self.assigns, l)
+        self.vals[l.index()]
     }
 
     #[inline]
@@ -964,9 +926,13 @@ impl Solver {
     }
 
     fn unchecked_enqueue(&mut self, l: Lit, reason: Option<Reason>) {
-        debug_assert_eq!(self.value_lit(l), LBool::Undef);
+        debug_assert!(
+            self.vals[l.index()] == LBool::Undef && self.vals[(!l).index()] == LBool::Undef,
+            "enqueued literal {l} is already assigned"
+        );
+        self.vals[l.index()] = LBool::True;
+        self.vals[(!l).index()] = LBool::False;
         let v = l.var().index();
-        self.assigns[v] = LBool::from_bool(l.is_positive());
         self.level[v] = self.decision_level();
         self.reason[v] = reason;
         self.trail.push(l);
@@ -974,10 +940,16 @@ impl Solver {
 
     /// Unit propagation; returns the conflicting clause if any.
     ///
-    /// Watch lists are traversed in place: kept watchers are never
-    /// rewritten, clauses that migrate to a new watch are removed with an
-    /// O(1) `swap_remove` (watch-list order is irrelevant), and
-    /// lazily-detached (deleted) clauses drop their watchers the same way.
+    /// Each literal's watch list is taken out of `self.watches` and walked
+    /// as a local vector, then put back, on a conflict too: the walk
+    /// indexes a plain `Vec` instead of re-borrowing the list through
+    /// `self` at every step, and truth values are one load from the
+    /// literal-indexed `vals`. Kept watchers are never rewritten, clauses
+    /// that migrate to a new watch are removed with an O(1) `swap_remove`,
+    /// and lazily-detached (deleted) clauses drop their watchers the same
+    /// way. That removal order decides which conflict is found first, so
+    /// it is part of the search: an order-preserving compaction would
+    /// find conflicts in a different order and learn different clauses.
     fn propagate(&mut self) -> Option<Conflict> {
         // Outcome of inspecting one non-binary clause, computed under a
         // single arena borrow per visit.
@@ -987,43 +959,45 @@ impl Solver {
             Unit(Lit),
             Conflicting,
         }
+        let mut conflict = None;
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
             self.stats.propagations += 1;
             let false_lit = !p;
             let pi = p.index();
+            let mut ws = std::mem::take(&mut self.watches[pi]);
             let mut i = 0;
-            while i < self.watches[pi].len() {
-                let w = self.watches[pi][i];
+            while i < ws.len() {
+                let w = ws[i];
                 let Some(cref) = w.cref else {
                     // Binary fast path: the whole clause is
                     // (false_lit ∨ blocker), carried by the watcher.
-                    match lit_value(&self.assigns, w.blocker) {
+                    match self.vals[w.blocker.index()] {
                         LBool::True => {}
                         LBool::Undef => {
                             self.stats.binary_props += 1;
                             self.unchecked_enqueue(w.blocker, Some(Reason::Binary(false_lit)));
                         }
                         LBool::False => {
-                            self.qhead = self.trail.len();
-                            return Some(Conflict::Binary(false_lit, w.blocker));
+                            conflict = Some(Conflict::Binary(false_lit, w.blocker));
+                            break;
                         }
                     }
                     i += 1;
                     continue;
                 };
                 if self.ca.is_deleted(cref) {
-                    self.watches[pi].swap_remove(i); // lazily detached
+                    ws.swap_remove(i); // lazily detached
                     continue;
                 }
                 // Fast path: blocker already true.
-                if lit_value(&self.assigns, w.blocker) == LBool::True {
+                if self.vals[w.blocker.index()] == LBool::True {
                     i += 1;
                     continue;
                 }
                 let visit = {
-                    let assigns = &self.assigns;
+                    let vals = &self.vals;
                     let lits = self.ca.lits_mut(cref);
                     // Normalize: ensure false_lit is at position 1.
                     if lits[0] == false_lit {
@@ -1031,13 +1005,13 @@ impl Solver {
                     }
                     debug_assert_eq!(lits[1], false_lit);
                     let first = lits[0];
-                    if first != w.blocker && lit_value(assigns, first) == LBool::True {
+                    if first != w.blocker && vals[first.index()] == LBool::True {
                         Visit::Satisfied(first)
                     } else {
                         // Look for a new literal to watch.
                         let mut moved = None;
                         for k in 2..lits.len() {
-                            if lit_value(assigns, lits[k]) != LBool::False {
+                            if vals[lits[k].index()] != LBool::False {
                                 lits.swap(1, k);
                                 moved = Some(lits[1]);
                                 break;
@@ -1046,20 +1020,21 @@ impl Solver {
                         match moved {
                             Some(lk) => Visit::Moved(lk, first),
                             // No new watch: clause is unit or conflicting.
-                            None if lit_value(assigns, first) == LBool::False => Visit::Conflicting,
+                            None if vals[first.index()] == LBool::False => Visit::Conflicting,
                             None => Visit::Unit(first),
                         }
                     }
                 };
                 match visit {
                     Visit::Satisfied(first) => {
-                        self.watches[pi][i].blocker = first;
+                        ws[i].blocker = first;
                         i += 1;
                     }
                     Visit::Moved(lk, first) => {
+                        ws.swap_remove(i);
                         // `lk` is non-false while `false_lit` is false, so
-                        // the push never lands back on p's own list.
-                        self.watches[pi].swap_remove(i);
+                        // the new watcher never lands on the detached list.
+                        debug_assert_ne!((!lk).index(), pi);
                         self.watches[(!lk).index()].push(Watcher {
                             blocker: first,
                             cref: Some(cref),
@@ -1070,13 +1045,18 @@ impl Solver {
                         i += 1;
                     }
                     Visit::Conflicting => {
-                        self.qhead = self.trail.len();
-                        return Some(Conflict::Clause(cref));
+                        conflict = Some(Conflict::Clause(cref));
+                        break;
                     }
                 }
             }
+            self.watches[pi] = ws;
+            if conflict.is_some() {
+                self.qhead = self.trail.len();
+                break;
+            }
         }
-        None
+        conflict
     }
 
     fn bump_var(&mut self, v: usize) {
@@ -1233,7 +1213,8 @@ impl Solver {
         for i in (bound..self.trail.len()).rev() {
             let l = self.trail[i];
             let v = l.var().index();
-            self.assigns[v] = LBool::Undef;
+            self.vals[l.index()] = LBool::Undef;
+            self.vals[(!l).index()] = LBool::Undef;
             self.phase[v] = l.is_positive();
             self.reason[v] = None;
             if !self.heap.contains(v) {
@@ -1257,14 +1238,17 @@ impl Solver {
                 }
             }
             while let Some(v) = self.heap.pop_max(&self.activity) {
-                if self.assigns[v] == LBool::Undef {
+                if self.vals[2 * v] == LBool::Undef {
                     return Some(Var(v as u32));
                 }
             }
             None
         } else {
-            (0..self.num_vars())
-                .find(|&v| self.assigns[v] == LBool::Undef)
+            // Slot pairs, not `vals[2 * v]`: the scan then needs no
+            // bounds check per variable.
+            self.vals
+                .chunks_exact(2)
+                .position(|pair| pair[0] == LBool::Undef)
                 .map(|v| Var(v as u32))
         }
     }
@@ -1279,7 +1263,7 @@ impl Solver {
         }
         for _ in 0..10 {
             let v = (self.rng.next_u64() % n as u64) as usize;
-            if self.assigns[v] == LBool::Undef && !self.eliminated[v] {
+            if self.vals[2 * v] == LBool::Undef && !self.eliminated[v] {
                 return Some(Var(v as u32));
             }
         }
@@ -1368,7 +1352,7 @@ impl Solver {
     /// a reason — propagation only swaps it away once it is unassigned.
     fn locked(&self, cref: ClauseRef) -> bool {
         let l0 = self.ca.lit(cref, 0);
-        lit_value(&self.assigns, l0) == LBool::True
+        self.vals[l0.index()] == LBool::True
             && self.reason[l0.var().index()] == Some(Reason::Clause(cref))
     }
 
@@ -1550,8 +1534,8 @@ impl Solver {
             }
         };
         if result == SolveResult::Sat {
-            for v in 0..self.num_vars() {
-                self.model[v] = self.assigns[v] == LBool::True;
+            for (m, pair) in self.model.iter_mut().zip(self.vals.chunks_exact(2)) {
+                *m = pair[0] == LBool::True;
             }
             self.extend_model();
             self.has_model = true;
@@ -1570,60 +1554,23 @@ impl Solver {
         self.obs.live_flushed = conflicts;
     }
 
-    /// CDCL progress sample, taken at the coarse budget tick (the one
-    /// place search already pays for `Instant::now`). Records the
-    /// conflict-rate and propagation-latency deltas since the previous
-    /// tick into log-bucketed histograms and emits a periodic
+    /// CDCL progress sample, taken at the coarse budget tick: folds the
+    /// conflicts so far into the thread's job meter, so heartbeats see
+    /// them move *during* a long solve, and emits a periodic
     /// `sat.progress` trace event (conflicts, restarts, learnt-DB size).
     /// A relaxed-load no-op when observability is off.
     #[cold]
     fn obs_sample(&mut self) {
         if !aqed_obs::enabled() {
-            self.obs.last = None;
             return;
         }
-        // Live per-job progress: heartbeats see conflicts move *during*
-        // a long solve, not just when it returns.
         self.flush_live_conflicts();
-        let now = std::time::Instant::now();
-        let conflicts = self.stats.conflicts;
-        let props = self.stats.propagations;
-        if let Some((t0, c0, p0)) = self.obs.last {
-            let dt_ns = u64::try_from(now.duration_since(t0).as_nanos()).unwrap_or(u64::MAX);
-            let dc = conflicts.saturating_sub(c0);
-            let dp = props.saturating_sub(p0);
-            if let Some(rate) = dc.saturating_mul(1_000_000_000).checked_div(dt_ns) {
-                if self.obs.handles.is_none() {
-                    let m = aqed_obs::metrics::global();
-                    let (conflict_rate, prop_latency) = match self.metrics_scope.as_deref() {
-                        Some(scope) => (
-                            m.histogram_scoped("sat.conflict_rate_per_s", scope),
-                            m.histogram_scoped("sat.prop_latency_ns", scope),
-                        ),
-                        None => (
-                            m.histogram("sat.conflict_rate_per_s"),
-                            m.histogram("sat.prop_latency_ns"),
-                        ),
-                    };
-                    self.obs.handles = Some(ObsHandles {
-                        conflict_rate,
-                        prop_latency,
-                    });
-                }
-                let h = self.obs.handles.as_ref().expect("handles just resolved");
-                h.conflict_rate.record(rate);
-                if let Some(lat) = dt_ns.checked_div(dp) {
-                    h.prop_latency.record(lat);
-                }
-            }
-        }
-        self.obs.last = Some((now, conflicts, props));
         self.obs.samples += 1;
         if self.obs.samples.is_multiple_of(16) {
             aqed_obs::obs_event!(
                 "sat.progress",
-                conflicts = conflicts,
-                propagations = props,
+                conflicts = self.stats.conflicts,
+                propagations = self.stats.propagations,
                 restarts = self.stats.restarts,
                 learnts = self.num_learnts,
                 clauses = self.num_clauses(),
@@ -1891,7 +1838,7 @@ impl Solver {
             // would let model extension overwrite the forced value. An
             // already-eliminated variable owns a stack record; the
             // preprocessor must not create a second one.
-            if self.assigns[v] != LBool::Undef || self.eliminated[v] {
+            if self.vals[2 * v] != LBool::Undef || self.eliminated[v] {
                 *f = true;
             }
         }
@@ -2110,7 +2057,7 @@ impl Solver {
         let mut enqueued = 0usize;
         let mut conflicted = false;
         for v in 0..self.num_vars() {
-            if self.assigns[v] != LBool::Undef || self.eliminated[v] {
+            if self.vals[2 * v] != LBool::Undef || self.eliminated[v] {
                 continue;
             }
             let l = Var(v as u32).lit(self.model[v]);
@@ -2760,6 +2707,87 @@ mod tests {
         assert!(replay.enqueued > 0);
         // The solver is untouched: still at level 0 and solvable.
         assert_eq!(s.solve(), SolveResult::Sat);
+    }
+
+    /// At decision level 0, each variable's two literal slots hold
+    /// opposite values (both `Undef` while it is unassigned), and the
+    /// true literals are exactly those on the level-0 trail.
+    fn assert_values_match_trail(s: &Solver) {
+        assert_eq!(s.decision_level(), 0);
+        assert_eq!(s.vals.len(), 2 * s.num_vars());
+        for v in 0..s.num_vars() {
+            let (pos, neg) = (s.vals[2 * v], s.vals[2 * v + 1]);
+            assert!(
+                matches!(
+                    (pos, neg),
+                    (LBool::Undef, LBool::Undef)
+                        | (LBool::True, LBool::False)
+                        | (LBool::False, LBool::True)
+                ),
+                "v{v} holds {pos:?} / {neg:?}"
+            );
+        }
+        let mut on_trail = vec![false; s.vals.len()];
+        for &l in &s.trail {
+            on_trail[l.index()] = true;
+        }
+        for (i, &val) in s.vals.iter().enumerate() {
+            assert_eq!(val == LBool::True, on_trail[i], "literal {}", Lit(i as u32));
+        }
+    }
+
+    /// Solves, checks the model replays without a conflict, and checks
+    /// the value array afterwards.
+    fn solve_and_replay(s: &mut Solver, assumptions: &[Lit]) {
+        assert_eq!(s.solve_with(assumptions), SolveResult::Sat);
+        assert_values_match_trail(s);
+        let replay = s.replay_model_propagation().expect("model exists");
+        assert!(!replay.conflicted);
+        assert_values_match_trail(s);
+    }
+
+    #[test]
+    fn literal_values_stay_paired_with_the_level_zero_trail() {
+        let mut rng = XorShift64::new(3);
+        let mut s = Solver::new();
+        let v = vars(&mut s, 120);
+        let hidden: Vec<bool> = (0..120).map(|_| rng.next_u64() & 1 == 1).collect();
+        for c in random_3cnf(&mut rng, &v, 480, Some(&hidden)) {
+            assert!(s.add_clause(c));
+        }
+        // Interior chain variables sit in two clauses each, so a pass
+        // eliminates them; the units put literals on the level-0 trail.
+        let chain = chain_clauses(&mut s, 8);
+        assert!(s.add_clause([v[0].lit(hidden[0])]));
+        assert!(s.add_clause([v[1].lit(hidden[1])]));
+        assert!(!s.trail.is_empty());
+        assert_values_match_trail(&s);
+
+        for x in &v[2..6] {
+            solve_and_replay(&mut s, &[x.lit(hidden[x.index()])]);
+        }
+        assert!(s.stats().conflicts > 0, "{}", s.stats());
+
+        s.reclaim_memory();
+        assert_values_match_trail(&s);
+        solve_and_replay(&mut s, &[]);
+
+        assert!(s.simplify());
+        assert_values_match_trail(&s);
+        let gone = *chain[1..7]
+            .iter()
+            .find(|x| s.eliminated[x.index()])
+            .expect("the pass eliminates an interior chain variable");
+
+        // A unit over the eliminated variable reactivates it and forces
+        // the rest of the chain at level 0.
+        let trail_before = s.trail.len();
+        assert!(s.add_clause([gone.pos()]));
+        assert!(!s.eliminated[gone.index()]);
+        assert!(s.trail.len() > trail_before);
+        assert_values_match_trail(&s);
+        solve_and_replay(&mut s, &[v[6].lit(hidden[6])]);
+        assert_eq!(s.model_value(chain[7]), Some(true));
     }
 
     #[test]
