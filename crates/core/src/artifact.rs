@@ -43,14 +43,14 @@
 //! only lose records (corruption truncates at the first bad record),
 //! never serve a wrong verdict.
 
-use crate::persist::{DiskJournal, PersistedCex, Record, StoreOptions};
+use crate::persist::{DiskJournal, Fnv1a, PersistedCex, Record, StoreOptions};
 use crate::verify::CheckOutcome;
 use aqed_bitvec::Bv;
 use aqed_bmc::Counterexample;
 use aqed_expr::{ExprPool, VarId};
 use aqed_obs::json::Json;
 use aqed_obs::metrics;
-use aqed_tsys::{to_btor2, CoiSlice, Trace, TransitionSystem};
+use aqed_tsys::{write_btor2, CoiSlice, Trace, TransitionSystem};
 use std::collections::HashMap;
 use std::io;
 use std::path::Path;
@@ -58,10 +58,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Content hash of a transition system: FNV-1a 64 over its canonical
-/// BTOR2 export. [`cone_hash`] applies it to an obligation's slice.
+/// BTOR2 export. The printer writes straight into the hasher, so the
+/// text is never built. [`cone_hash`] applies it to an obligation's
+/// slice.
+///
+/// # Panics
+///
+/// Panics if the system fails [`TransitionSystem::validate`].
 #[must_use]
 pub fn design_hash(ts: &TransitionSystem, pool: &ExprPool) -> u64 {
-    crate::persist::fnv1a(to_btor2(ts, pool).as_bytes())
+    let mut h = Fnv1a::default();
+    write_btor2(ts, pool, &mut h).expect("hashing cannot fail");
+    h.0
 }
 
 /// The store's key for one obligation: the content hash of its COI

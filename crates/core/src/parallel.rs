@@ -5,6 +5,8 @@
 //! each bad property of the composed design+monitor system as an
 //! [`Obligation`] and runs the obligations as independent BMC jobs on a
 //! scoped thread pool ([`std::thread::scope`] — no runtime dependency).
+//! A one-job schedule runs its worker on the calling thread instead, so
+//! a warm run whose every obligation is a store hit spawns nothing.
 //!
 //! The merged verdict is deterministic: it depends only on the
 //! per-obligation results, never on thread scheduling, so `jobs = 1` and
@@ -489,33 +491,32 @@ pub fn verify_obligations_governed<B: SatBackend + Default>(
                 }
             });
         }
-        for _ in 0..workers {
-            scope.spawn(|| {
-                // Route the solver's mid-solve progress samples to this
-                // job's meter for live heartbeat progress.
-                aqed_obs::meter::set_thread_meter(ctx.meter.clone());
-                worker_loop::<B>(
-                    composed,
-                    pool,
-                    options,
-                    sched,
-                    &obligations,
-                    &next,
-                    &completed,
-                    &armed,
-                    &active,
-                    &results,
-                    &coi_cache,
-                    store,
-                    meter,
-                );
-                // Scoped threads signal completion before their TLS
-                // destructors run, so the drop-flush of the trace buffer
-                // races against the caller uninstalling the sink. Flush
-                // here, while the scope (and thus the sink) is alive.
-                aqed_obs::meter::set_thread_meter(None);
-                aqed_obs::flush_local();
-            });
+        let work = || {
+            let _job = ThreadJob::enter(ctx.meter.clone());
+            worker_loop::<B>(
+                composed,
+                pool,
+                options,
+                sched,
+                &obligations,
+                &next,
+                &completed,
+                &armed,
+                &active,
+                &results,
+                &coi_cache,
+                store,
+                meter,
+            );
+        };
+        // A single worker runs on the calling thread: a spawn costs more
+        // than a warm run's every store hit together.
+        if workers == 1 {
+            work();
+        } else {
+            for _ in 0..workers {
+                scope.spawn(work);
+            }
         }
     });
     let mut ranked = results.into_inner().unwrap_or_else(PoisonError::into_inner);
@@ -553,8 +554,37 @@ pub fn verify_obligations_governed<B: SatBackend + Default>(
 /// private stop handle to trip if it overstays.
 type ActiveJobs = Mutex<HashMap<usize, (Instant, StopHandle)>>;
 
-/// One worker's claim-check-report loop, extracted so the spawn closure
-/// can run a trace flush after it returns.
+/// A worker's hold on the thread it runs on, the caller's or a spawned
+/// one. Entering routes the solver's mid-solve progress samples to the
+/// job's meter (live heartbeat progress); dropping, on return or
+/// unwind, gives the thread back its previous meter and span and
+/// flushes its trace batch. Scoped threads signal completion before
+/// their TLS destructors run, so the drop-flush of the trace buffer
+/// would race against the caller uninstalling the sink; this flush
+/// runs while the scope (and thus the sink) is alive.
+struct ThreadJob {
+    meter: Option<Arc<aqed_obs::JobMeter>>,
+    span: Option<u64>,
+}
+
+impl ThreadJob {
+    fn enter(meter: Option<Arc<aqed_obs::JobMeter>>) -> Self {
+        ThreadJob {
+            meter: aqed_obs::meter::set_thread_meter(meter),
+            span: aqed_obs::current_span_id(),
+        }
+    }
+}
+
+impl Drop for ThreadJob {
+    fn drop(&mut self) {
+        aqed_obs::meter::set_thread_meter(self.meter.take());
+        aqed_obs::set_current_span_id(self.span);
+        aqed_obs::flush_local();
+    }
+}
+
+/// One worker's claim-check-report loop.
 #[allow(clippy::too_many_arguments)]
 fn worker_loop<B: SatBackend + Default>(
     composed: &TransitionSystem,
@@ -987,6 +1017,111 @@ mod tests {
         // run is over the live count has caught up with the report.
         assert!(report.aggregate.solver.conflicts > 0);
         assert_eq!(meter.conflicts(), report.aggregate.solver.conflicts);
+    }
+
+    /// The buggy `inc` accelerator composed with FC and RB monitors.
+    fn buggy_composed(p: &mut ExprPool) -> TransitionSystem {
+        let spec = AccelSpec::new("inc", 2, 6, 6);
+        let lca = synthesize(
+            &spec,
+            p,
+            SynthOptions {
+                forwarding_bug: true,
+                ..SynthOptions::default()
+            },
+            |pool, _a, d| {
+                let one = pool.lit(6, 1);
+                pool.add(d, one)
+            },
+        );
+        AqedHarness::new(&lca)
+            .with_fc(FcConfig::default())
+            .with_rb(RbConfig::default())
+            .build(p)
+            .0
+    }
+
+    #[test]
+    fn inline_run_restores_the_callers_thread_meter() {
+        let mut p = ExprPool::new();
+        let composed = buggy_composed(&mut p);
+        let caller = Arc::new(aqed_obs::JobMeter::new());
+        let before = aqed_obs::meter::set_thread_meter(Some(Arc::clone(&caller)));
+        aqed_obs::set_current_span_id(Some(7));
+        let job = Arc::new(aqed_obs::JobMeter::new());
+        let ctx = RunContext {
+            meter: Some(Arc::clone(&job)),
+            ..RunContext::default()
+        };
+        let options = BmcOptions::default().with_max_bound(8);
+        let sched = ScheduleOptions::default().with_jobs(1);
+        let report = verify_obligations_governed::<Solver>(&composed, &p, &options, &sched, &ctx);
+        let restored = aqed_obs::meter::current_thread_meter();
+        let span = aqed_obs::current_span_id();
+        aqed_obs::meter::set_thread_meter(before);
+        aqed_obs::set_current_span_id(None);
+        assert!(report.found_bug(), "{report}");
+        assert_eq!(report.jobs, 1);
+        // The run's live progress went to the job's meter...
+        assert!(report.aggregate.solver.conflicts > 0);
+        assert_eq!(job.conflicts(), report.aggregate.solver.conflicts);
+        assert_eq!(job.obligations_done(), report.obligations.len() as u64);
+        // ...and the caller got its own meter and span back, untouched.
+        assert!(restored.is_some_and(|m| Arc::ptr_eq(&m, &caller)));
+        assert_eq!(caller.conflicts(), 0);
+        assert_eq!(span, Some(7));
+    }
+
+    /// Per-obligation verdicts, for comparing runs.
+    fn verdicts(report: &ParallelVerifyReport) -> Vec<String> {
+        report
+            .obligations
+            .iter()
+            .map(|r| {
+                let v = match &r.outcome {
+                    CheckOutcome::Clean { bound } => format!("clean@{bound}"),
+                    CheckOutcome::Bug { counterexample, .. } => {
+                        format!("bug@{}", counterexample.depth)
+                    }
+                    other => format!("{other:?}"),
+                };
+                format!("{}: {v}", r.obligation.bad_name)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn one_and_two_jobs_agree_over_one_shared_store() {
+        let mut p = ExprPool::new();
+        let composed = buggy_composed(&mut p);
+        let options = BmcOptions::default().with_max_bound(8);
+        let run = |jobs: usize, ctx: &RunContext| {
+            let sched = ScheduleOptions::default().with_jobs(jobs);
+            verify_obligations_governed::<Solver>(&composed, &p, &options, &sched, ctx)
+        };
+        let reference = verdicts(&run(1, &RunContext::default()));
+        assert!(
+            reference.iter().any(|v| v.contains("bug@")),
+            "{reference:?}"
+        );
+        // Each store is filled by one worker count and served to the
+        // other, then to the first again.
+        for (cold, warm) in [(1, 2), (2, 1)] {
+            let ctx = RunContext::with_artifacts(Arc::new(ArtifactStore::new()));
+            let filled = run(cold, &ctx);
+            assert_eq!(filled.cache_hits, 0);
+            assert_eq!(verdicts(&filled), reference, "cold at jobs = {cold}");
+            for jobs in [warm, cold] {
+                let served = run(jobs, &ctx);
+                assert_eq!(served.cache_hits, served.obligations.len() as u64);
+                assert_eq!(verdicts(&served), reference, "warm at jobs = {jobs}");
+                let merged = |r: &ParallelVerifyReport| {
+                    let cex = r.counterexample().map(|c| (c.bad_name.clone(), c.depth));
+                    (r.exit_code(), cex)
+                };
+                assert_eq!(merged(&served), merged(&filled));
+            }
+        }
     }
 
     #[test]

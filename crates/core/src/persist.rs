@@ -70,6 +70,7 @@ use aqed_expr::VarId;
 use aqed_obs::json::{self, Json};
 use aqed_tsys::Trace;
 use std::collections::HashMap;
+use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
@@ -102,16 +103,40 @@ impl Default for StoreOptions {
     }
 }
 
-/// FNV-1a 64 over raw bytes — the per-record checksum (and the same
-/// function [`design_hash`](crate::design_hash) uses for content keys).
+/// FNV-1a 64 over raw bytes — the per-record checksum.
 #[must_use]
 pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut h = Fnv1a::default();
+    h.update(bytes);
+    h.0
+}
+
+/// Streaming FNV-1a 64, also a [`fmt::Write`] sink: the same function
+/// [`design_hash`](crate::design_hash) computes over text printed
+/// straight into it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Fnv1a(pub(crate) u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    h
+}
+
+impl Fnv1a {
+    fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// A counterexample in durable, pool-independent form: every variable

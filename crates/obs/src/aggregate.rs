@@ -211,10 +211,9 @@ impl Aggregator {
 
     /// Prometheus text exposition over the same data as
     /// [`expose_json`](Aggregator::expose_json). Metric names are
-    /// sanitised (`serve.jobs.done` → `aqed_serve_jobs_done`), scoped
-    /// series (`name{prop=FC}`) become labels, histograms render as
-    /// cumulative `_bucket{le=...}` families, and windowed rates as
-    /// `_per_sec{window=...}` gauges.
+    /// sanitised (`serve.jobs.done` → `aqed_serve_jobs_done`),
+    /// histograms render as cumulative `_bucket{le=...}` families, and
+    /// windowed rates as `_per_sec{window=...}` gauges.
     #[must_use]
     #[allow(clippy::cast_precision_loss)]
     pub fn expose_prometheus(&self, snap: &MetricsSnapshot) -> String {
@@ -222,63 +221,41 @@ impl Aggregator {
         out.push_str("# TYPE aqed_uptime_ms gauge\n");
         out.push_str(&format!("aqed_uptime_ms {}\n", self.uptime_ms()));
         for (name, value) in &snap.counters {
-            let (base, labels) = split_scope(name);
-            let metric = format!("{}_total", prom_name(&base));
+            let metric = format!("{}_total", prom_name(name));
             out.push_str(&format!("# TYPE {metric} counter\n"));
-            out.push_str(&format!("{metric}{} {value}\n", prom_labels(&labels)));
+            out.push_str(&format!("{metric} {value}\n"));
         }
         for (name, value) in &snap.gauges {
-            let (base, labels) = split_scope(name);
-            let metric = prom_name(&base);
+            let metric = prom_name(name);
             out.push_str(&format!("# TYPE {metric} gauge\n"));
-            out.push_str(&format!("{metric}{} {value}\n", prom_labels(&labels)));
+            out.push_str(&format!("{metric} {value}\n"));
         }
         for (name, h) in &snap.histograms {
-            let (base, labels) = split_scope(name);
-            let metric = prom_name(&base);
+            let metric = prom_name(name);
             out.push_str(&format!("# TYPE {metric} histogram\n"));
             let mut cumulative = 0u64;
             for &(lower, n) in &h.buckets {
                 cumulative += n;
-                let mut with_le = labels.clone();
-                with_le.push(("le".to_string(), bucket_upper(lower).to_string()));
                 out.push_str(&format!(
-                    "{metric}_bucket{} {cumulative}\n",
-                    prom_labels(&with_le)
+                    "{metric}_bucket{{le=\"{}\"}} {cumulative}\n",
+                    bucket_upper(lower)
                 ));
             }
-            let mut with_inf = labels.clone();
-            with_inf.push(("le".to_string(), "+Inf".to_string()));
-            out.push_str(&format!(
-                "{metric}_bucket{} {}\n",
-                prom_labels(&with_inf),
-                h.count
-            ));
-            out.push_str(&format!("{metric}_sum{} {}\n", prom_labels(&labels), h.sum));
-            out.push_str(&format!(
-                "{metric}_count{} {}\n",
-                prom_labels(&labels),
-                h.count
-            ));
+            out.push_str(&format!("{metric}_bucket{{le=\"+Inf\"}} {}\n", h.count));
+            out.push_str(&format!("{metric}_sum {}\n", h.sum));
+            out.push_str(&format!("{metric}_count {}\n", h.count));
             for (suffix, q) in [("p50", 0.50), ("p90", 0.90), ("p99", 0.99)] {
                 let qm = format!("{metric}_{suffix}");
                 out.push_str(&format!("# TYPE {qm} gauge\n"));
-                out.push_str(&format!(
-                    "{qm}{} {}\n",
-                    prom_labels(&labels),
-                    format_value(quantile(h, q))
-                ));
+                out.push_str(&format!("{qm} {}\n", format_value(quantile(h, q))));
             }
         }
         for (window, per_counter) in self.rates() {
             for (name, rate) in per_counter {
-                let (base, mut labels) = split_scope(&name);
-                labels.push(("window".to_string(), window.clone()));
-                let metric = format!("{}_per_sec", prom_name(&base));
+                let metric = format!("{}_per_sec", prom_name(&name));
                 out.push_str(&format!("# TYPE {metric} gauge\n"));
                 out.push_str(&format!(
-                    "{metric}{} {}\n",
-                    prom_labels(&labels),
+                    "{metric}{{window=\"{window}\"}} {}\n",
                     format_value(rate)
                 ));
             }
@@ -349,28 +326,6 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Splits a registry key of the form `base{k=v,...}` into the base
-/// name and its label pairs.
-fn split_scope(name: &str) -> (String, Vec<(String, String)>) {
-    let Some(open) = name.find('{') else {
-        return (name.to_string(), Vec::new());
-    };
-    if !name.ends_with('}') {
-        return (name.to_string(), Vec::new());
-    }
-    let base = name[..open].to_string();
-    let scope = &name[open + 1..name.len() - 1];
-    let labels = scope
-        .split(',')
-        .filter(|s| !s.is_empty())
-        .map(|pair| match pair.split_once('=') {
-            Some((k, v)) => (k.trim().to_string(), v.trim().to_string()),
-            None => ("scope".to_string(), pair.trim().to_string()),
-        })
-        .collect();
-    (base, labels)
-}
-
 /// Sanitises a dotted metric name into a Prometheus identifier with
 /// the `aqed_` namespace prefix.
 fn prom_name(base: &str) -> String {
@@ -384,22 +339,6 @@ fn prom_name(base: &str) -> String {
         }
     }
     out
-}
-
-/// `{k="v",...}` or the empty string for no labels.
-fn prom_labels(labels: &[(String, String)]) -> String {
-    if labels.is_empty() {
-        return String::new();
-    }
-    let body: Vec<String> = labels
-        .iter()
-        .map(|(k, v)| {
-            let key = prom_name(k).trim_start_matches("aqed_").to_string();
-            let escaped = v.replace('\\', "\\\\").replace('"', "\\\"");
-            format!("{key}=\"{escaped}\"")
-        })
-        .collect();
-    format!("{{{}}}", body.join(","))
 }
 
 /// Finite decimal rendering (Prometheus forbids bare `NaN` surprises
@@ -499,7 +438,7 @@ mod tests {
         let reg = MetricsRegistry::new();
         reg.counter("serve.jobs.done").add(7);
         reg.gauge("serve.queue.depth").set(3);
-        let h = reg.histogram("bmc.solve.ns{prop=FC}");
+        let h = reg.histogram("bmc.solve.ns");
         h.record(1_000);
         h.record(2_000);
         let agg = Aggregator::new(&[Duration::from_secs(10)]);
@@ -526,9 +465,9 @@ mod tests {
         }
         assert!(text.contains("aqed_serve_jobs_done_total 7"));
         assert!(text.contains("aqed_serve_queue_depth 3"));
-        assert!(text.contains("aqed_bmc_solve_ns_count{prop=\"FC\"} 2"));
-        assert!(text.contains("aqed_bmc_solve_ns_bucket{prop=\"FC\",le=\"+Inf\"} 2"));
-        assert!(text.contains("aqed_bmc_solve_ns_p99{prop=\"FC\"}"));
+        assert!(text.contains("aqed_bmc_solve_ns_count 2"));
+        assert!(text.contains("aqed_bmc_solve_ns_bucket{le=\"+Inf\"} 2"));
+        assert!(text.contains("aqed_bmc_solve_ns_p99 "));
         assert!(text.contains("aqed_serve_jobs_done_per_sec{window=\"10s\"} 0.7"));
         // Cumulative bucket counts are monotone.
         let mut last = 0u64;
@@ -568,13 +507,5 @@ mod tests {
             .and_then(Json::as_f64)
             .expect("windowed rate present");
         assert!((rate - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn scope_splitting_handles_plain_and_labelled_names() {
-        assert_eq!(split_scope("a.b"), ("a.b".to_string(), Vec::new()));
-        let (base, labels) = split_scope("bmc.solve{prop=FC}");
-        assert_eq!(base, "bmc.solve");
-        assert_eq!(labels, vec![("prop".to_string(), "FC".to_string())]);
     }
 }

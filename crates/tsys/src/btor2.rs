@@ -9,9 +9,8 @@
 //! general BTOR2 front-end).
 
 use crate::TransitionSystem;
-use aqed_expr::{BinOp, ExprPool, ExprRef, Node, UnOp};
-use std::collections::HashMap;
-use std::fmt::Write as _;
+use aqed_expr::{BinOp, ExprPool, ExprRef, Node, UnOp, VarId};
+use std::fmt::{self, Write};
 
 /// Serializes the system to BTOR2 text.
 ///
@@ -23,116 +22,154 @@ use std::fmt::Write as _;
 /// Panics if the system fails [`TransitionSystem::validate`].
 #[must_use]
 pub fn to_btor2(ts: &TransitionSystem, pool: &ExprPool) -> String {
-    ts.validate(pool).expect("system must be well-formed");
     let mut out = String::new();
-    let mut next_id = 1usize;
-    let mut sorts: HashMap<u32, usize> = HashMap::new();
-    let mut nodes: HashMap<ExprRef, usize> = HashMap::new();
-    let mut vars: HashMap<aqed_expr::VarId, usize> = HashMap::new();
+    write_btor2(ts, pool, &mut out).expect("writing to a String cannot fail");
+    out
+}
 
-    let _ = writeln!(out, "; BTOR2 export of '{}'", ts.name());
-
-    let mut sort_of = |w: u32, out: &mut String, next_id: &mut usize| -> usize {
-        if let Some(&id) = sorts.get(&w) {
-            return id;
-        }
-        let id = *next_id;
-        *next_id += 1;
-        let _ = writeln!(out, "{id} sort bitvec {w}");
-        sorts.insert(w, id);
-        id
-    };
-
-    // Declare inputs and states.
-    for &iv in ts.inputs() {
-        let s = sort_of(pool.var_width(iv), &mut out, &mut next_id);
-        let id = next_id;
-        next_id += 1;
-        let _ = writeln!(out, "{id} input {s} {}", sanitize(pool.var_name(iv)));
-        vars.insert(iv, id);
+/// Writes the system's BTOR2 text, byte for byte what [`to_btor2`]
+/// returns, into any [`fmt::Write`] sink. This is the one printer: a
+/// sink that hashes what it is given (the artifact store's content
+/// keys) gets the canonical text without it ever being built.
+///
+/// # Errors
+///
+/// Only the sink's own errors.
+///
+/// # Panics
+///
+/// Panics if the system fails [`TransitionSystem::validate`].
+pub fn write_btor2<W: Write + ?Sized>(
+    ts: &TransitionSystem,
+    pool: &ExprPool,
+    out: &mut W,
+) -> fmt::Result {
+    ts.validate(pool).expect("system must be well-formed");
+    Printer {
+        pool,
+        out,
+        next_id: 1,
+        sorts: Vec::new(),
+        vars: vec![0; pool.var_count()],
+        nodes: vec![0; pool.len()],
+        stack: Vec::new(),
     }
-    for st in ts.states() {
-        let s = sort_of(pool.var_width(st.var), &mut out, &mut next_id);
-        let id = next_id;
-        next_id += 1;
-        let _ = writeln!(out, "{id} state {s} {}", sanitize(pool.var_name(st.var)));
-        vars.insert(st.var, id);
+    .system(ts)
+}
+
+/// The printer's state. Line ids are handed out in print order starting
+/// at 1, so 0 marks a memo slot whose line is not printed yet.
+struct Printer<'a, W: ?Sized> {
+    pool: &'a ExprPool,
+    out: &'a mut W,
+    next_id: u32,
+    /// Sort line id, by bit width.
+    sorts: Vec<u32>,
+    /// Declaration line id, by variable index.
+    vars: Vec<u32>,
+    /// Line id, by expression index (a variable's node maps to its
+    /// declaration).
+    nodes: Vec<u32>,
+    /// Post-order work stack, reused across roots.
+    stack: Vec<ExprRef>,
+}
+
+impl<W: Write + ?Sized> Printer<'_, W> {
+    fn system(&mut self, ts: &TransitionSystem) -> fmt::Result {
+        writeln!(self.out, "; BTOR2 export of '{}'", ts.name())?;
+        // Declare inputs and states.
+        for &iv in ts.inputs() {
+            self.declare(iv, "input")?;
+        }
+        for st in ts.states() {
+            self.declare(st.var, "state")?;
+        }
+        // Inits and nexts.
+        for st in ts.states() {
+            let sid = self.sort(self.pool.var_width(st.var))?;
+            let var = self.vars[st.var.index()];
+            if let Some(init) = st.init {
+                let en = self.expr(init)?;
+                self.line(format_args!("init {sid} {var} {en}"))?;
+            }
+            let en = self.expr(st.next.expect("validated"))?;
+            self.line(format_args!("next {sid} {var} {en}"))?;
+        }
+        for &c in ts.constraints() {
+            let en = self.expr(c)?;
+            self.line(format_args!("constraint {en}"))?;
+        }
+        for (name, b) in ts.bads() {
+            let en = self.expr(*b)?;
+            self.line(format_args!("bad {en} {}", Sanitized(name)))?;
+        }
+        for (name, o) in ts.outputs() {
+            let en = self.expr(*o)?;
+            self.line(format_args!("output {en} {}", Sanitized(name)))?;
+        }
+        Ok(())
     }
 
-    // Emit an expression DAG node, memoized.
-    fn emit(
-        e: ExprRef,
-        pool: &ExprPool,
-        out: &mut String,
-        next_id: &mut usize,
-        sorts: &mut HashMap<u32, usize>,
-        nodes: &mut HashMap<ExprRef, usize>,
-        vars: &HashMap<aqed_expr::VarId, usize>,
-    ) -> usize {
-        if let Some(&id) = nodes.get(&e) {
-            return id;
+    fn declare(&mut self, v: VarId, kind: &str) -> fmt::Result {
+        let pool = self.pool;
+        let sid = self.sort(pool.var_width(v))?;
+        let name = Sanitized(pool.var_name(v));
+        self.vars[v.index()] = self.line(format_args!("{kind} {sid} {name}"))?;
+        Ok(())
+    }
+
+    /// The sort line id for width `w`, printing the line on first use.
+    fn sort(&mut self, w: u32) -> Result<u32, fmt::Error> {
+        let slot = w as usize;
+        if slot >= self.sorts.len() {
+            self.sorts.resize(slot + 1, 0);
         }
-        // Iterative post-order.
-        let mut stack = vec![e];
-        while let Some(&cur) = stack.last() {
-            if nodes.contains_key(&cur) {
-                stack.pop();
+        if self.sorts[slot] == 0 {
+            self.sorts[slot] = self.line(format_args!("sort bitvec {w}"))?;
+        }
+        Ok(self.sorts[slot])
+    }
+
+    /// Prints every node of `root`'s DAG not printed yet, operands
+    /// before their users, and returns `root`'s line id.
+    ///
+    /// Iterative post-order: a node whose operands are not all printed
+    /// pushes them (first operand first, so the last is printed first)
+    /// and is revisited once they are.
+    fn expr(&mut self, root: ExprRef) -> Result<u32, fmt::Error> {
+        let pool = self.pool;
+        self.stack.push(root);
+        while let Some(&cur) = self.stack.last() {
+            if self.nodes[cur.index()] != 0 {
+                self.stack.pop();
                 continue;
             }
-            let mut pending = false;
-            let need = |c: ExprRef, stack: &mut Vec<ExprRef>, pending: &mut bool| {
-                if !nodes.contains_key(&c) {
-                    stack.push(c);
-                    *pending = true;
-                }
-            };
-            match *pool.node(cur) {
+            let pending = self.stack.len();
+            let node = pool.node(cur);
+            match *node {
                 Node::Const(_) | Node::Var(_) => {}
-                Node::Unary(_, a) => need(a, &mut stack, &mut pending),
+                Node::Unary(_, a) => self.need(a),
                 Node::Binary(_, a, b) => {
-                    need(a, &mut stack, &mut pending);
-                    need(b, &mut stack, &mut pending);
+                    self.need(a);
+                    self.need(b);
                 }
                 Node::Ite { cond, then_, else_ } => {
-                    need(cond, &mut stack, &mut pending);
-                    need(then_, &mut stack, &mut pending);
-                    need(else_, &mut stack, &mut pending);
+                    self.need(cond);
+                    self.need(then_);
+                    self.need(else_);
                 }
-                Node::Extract { arg, .. } | Node::Extend { arg, .. } => {
-                    need(arg, &mut stack, &mut pending);
-                }
+                Node::Extract { arg, .. } | Node::Extend { arg, .. } => self.need(arg),
             }
-            if pending {
+            if self.stack.len() > pending {
                 continue;
             }
-            let w = pool.width(cur);
-            let sid = match sorts.get(&w) {
-                Some(&s) => s,
-                None => {
-                    let id = *next_id;
-                    *next_id += 1;
-                    let _ = writeln!(out, "{id} sort bitvec {w}");
-                    sorts.insert(w, id);
-                    id
-                }
-            };
-            let id = *next_id;
-            *next_id += 1;
-            match *pool.node(cur) {
-                Node::Const(v) => {
-                    let _ = writeln!(out, "{id} constd {sid} {}", v.to_u64());
-                }
-                Node::Var(v) => {
-                    // Var lines were pre-declared; alias through a no-op
-                    // is unnecessary: reuse the declared id and give the
-                    // freshly allocated one back.
-                    *next_id -= 1;
-                    nodes.insert(cur, vars[&v]);
-                    stack.pop();
-                    continue;
-                }
+            let sid = self.sort(pool.width(cur))?;
+            let id_of = |e: ExprRef| self.nodes[e.index()];
+            let id = match *node {
+                // Variables were declared up front; reuse that line.
+                Node::Var(v) => self.vars[v.index()],
+                Node::Const(v) => self.line(format_args!("constd {sid} {}", v.to_u64()))?,
                 Node::Unary(op, a) => {
-                    let an = nodes[&a];
                     let name = match op {
                         UnOp::Not => "not",
                         UnOp::Neg => "neg",
@@ -140,11 +177,10 @@ pub fn to_btor2(ts: &TransitionSystem, pool: &ExprPool) -> String {
                         UnOp::RedAnd => "redand",
                         UnOp::RedXor => "redxor",
                     };
-                    let _ = writeln!(out, "{id} {name} {sid} {an}");
+                    let an = id_of(a);
+                    self.line(format_args!("{name} {sid} {an}"))?
                 }
                 Node::Binary(op, a, b) => {
-                    let an = nodes[&a];
-                    let bn = nodes[&b];
                     let name = match op {
                         BinOp::And => "and",
                         BinOp::Or => "or",
@@ -164,119 +200,63 @@ pub fn to_btor2(ts: &TransitionSystem, pool: &ExprPool) -> String {
                         BinOp::Sle => "slte",
                         BinOp::Concat => "concat",
                     };
-                    let _ = writeln!(out, "{id} {name} {sid} {an} {bn}");
+                    let (an, bn) = (id_of(a), id_of(b));
+                    self.line(format_args!("{name} {sid} {an} {bn}"))?
                 }
                 Node::Ite { cond, then_, else_ } => {
-                    let cn = nodes[&cond];
-                    let tn = nodes[&then_];
-                    let en = nodes[&else_];
-                    let _ = writeln!(out, "{id} ite {sid} {cn} {tn} {en}");
+                    let (cn, tn, en) = (id_of(cond), id_of(then_), id_of(else_));
+                    self.line(format_args!("ite {sid} {cn} {tn} {en}"))?
                 }
                 Node::Extract { hi, lo, arg } => {
-                    let an = nodes[&arg];
-                    let _ = writeln!(out, "{id} slice {sid} {an} {hi} {lo}");
+                    let an = id_of(arg);
+                    self.line(format_args!("slice {sid} {an} {hi} {lo}"))?
                 }
                 Node::Extend { signed, width, arg } => {
-                    let an = nodes[&arg];
-                    let ext = width - pool.width(arg);
                     let name = if signed { "sext" } else { "uext" };
-                    let _ = writeln!(out, "{id} {name} {sid} {an} {ext}");
+                    let ext = width - pool.width(arg);
+                    let an = id_of(arg);
+                    self.line(format_args!("{name} {sid} {an} {ext}"))?
                 }
-            }
-            nodes.insert(cur, id);
-            stack.pop();
+            };
+            self.nodes[cur.index()] = id;
+            self.stack.pop();
         }
-        nodes[&e]
+        Ok(self.nodes[root.index()])
     }
 
-    // Inits and nexts.
-    for st in ts.states() {
-        let w = pool.var_width(st.var);
-        if let Some(init) = st.init {
-            let en = emit(
-                init,
-                pool,
-                &mut out,
-                &mut next_id,
-                &mut sorts,
-                &mut nodes,
-                &vars,
-            );
-            let sid = sorts[&w];
-            let id = next_id;
-            next_id += 1;
-            let _ = writeln!(out, "{id} init {sid} {} {en}", vars[&st.var]);
+    /// Queues operand `e` unless it is printed already.
+    fn need(&mut self, e: ExprRef) {
+        if self.nodes[e.index()] == 0 {
+            self.stack.push(e);
         }
-        let next = st.next.expect("validated");
-        let en = emit(
-            next,
-            pool,
-            &mut out,
-            &mut next_id,
-            &mut sorts,
-            &mut nodes,
-            &vars,
-        );
-        let sid = sorts[&w];
-        let id = next_id;
-        next_id += 1;
-        let _ = writeln!(out, "{id} next {sid} {} {en}", vars[&st.var]);
     }
-    for &c in ts.constraints() {
-        let en = emit(
-            c,
-            pool,
-            &mut out,
-            &mut next_id,
-            &mut sorts,
-            &mut nodes,
-            &vars,
-        );
-        let id = next_id;
-        next_id += 1;
-        let _ = writeln!(out, "{id} constraint {en}");
+
+    /// Prints one line, a fresh id followed by `body`, and returns the
+    /// id.
+    fn line(&mut self, body: fmt::Arguments<'_>) -> Result<u32, fmt::Error> {
+        let id = self.next_id;
+        self.next_id += 1;
+        writeln!(self.out, "{id} {body}")?;
+        Ok(id)
     }
-    for (name, b) in ts.bads() {
-        let en = emit(
-            *b,
-            pool,
-            &mut out,
-            &mut next_id,
-            &mut sorts,
-            &mut nodes,
-            &vars,
-        );
-        let id = next_id;
-        next_id += 1;
-        let _ = writeln!(out, "{id} bad {en} {}", sanitize(name));
-    }
-    for (name, o) in ts.outputs() {
-        let en = emit(
-            *o,
-            pool,
-            &mut out,
-            &mut next_id,
-            &mut sorts,
-            &mut nodes,
-            &vars,
-        );
-        let id = next_id;
-        next_id += 1;
-        let _ = writeln!(out, "{id} output {en} {}", sanitize(name));
-    }
-    out
 }
 
-fn sanitize(name: &str) -> String {
-    name.chars()
-        .map(|c| {
-            if c.is_alphanumeric() || c == '_' {
-                c
-            } else {
-                '_'
+/// A symbol with every character that is neither alphanumeric nor `_`
+/// replaced by `_`, so it stays a single BTOR2 token.
+struct Sanitized<'a>(&'a str);
+
+impl fmt::Display for Sanitized<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut run = 0;
+        for (i, c) in self.0.char_indices() {
+            if !(c.is_alphanumeric() || c == '_') {
+                f.write_str(&self.0[run..i])?;
+                f.write_char('_')?;
+                run = i + c.len_utf8();
             }
-        })
-        .collect()
+        }
+        f.write_str(&self.0[run..])
+    }
 }
 
 /// Line-count statistics of a BTOR2 dump, used by tests and reports.

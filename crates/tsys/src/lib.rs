@@ -57,7 +57,7 @@ mod sim;
 mod trace;
 mod vcd;
 
-pub use btor2::{btor2_check, btor2_stats, to_btor2, Btor2Stats};
+pub use btor2::{btor2_check, btor2_stats, to_btor2, write_btor2, Btor2Stats};
 pub use coi::{coi_slice, coi_slice_cached, CoiCache, CoiSlice};
 pub use mem::Mem;
 pub use mutate::{enumerate_mutants, Mutant, Mutator};
@@ -65,7 +65,7 @@ pub use sim::{Simulator, StepRecord};
 pub use trace::Trace;
 pub use vcd::to_vcd;
 
-use aqed_expr::{ExprPool, ExprRef, VarId, VarKind};
+use aqed_expr::{ExprPool, ExprRef, Node, VarId, VarKind};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
@@ -315,81 +315,72 @@ impl TransitionSystem {
     /// of the right width, inits have the right width, constraints and
     /// bads are 1-bit, and every referenced variable is declared.
     ///
+    /// Checks run in a fixed order: each state's next and init widths,
+    /// then the variables of each output, constraint (its width first),
+    /// bad (likewise), and each state's next and init. An expression with
+    /// several undeclared variables reports the one declared first in
+    /// the pool.
+    ///
     /// # Errors
     ///
     /// Returns the first [`ValidateSystemError`] found.
     pub fn validate(&self, pool: &ExprPool) -> Result<(), ValidateSystemError> {
+        let name = |v: VarId| pool.var_name(v).to_string();
+        let width_mismatch = |context: String, expected: u32, e: ExprRef| {
+            Err(ValidateSystemError::WidthMismatch {
+                context,
+                expected,
+                actual: pool.width(e),
+            })
+        };
         for s in &self.states {
             let w = pool.var_width(s.var);
-            let name = pool.var_name(s.var).to_string();
-            let next = s
-                .next
-                .ok_or(ValidateSystemError::MissingNext { name: name.clone() })?;
+            let Some(next) = s.next else {
+                return Err(ValidateSystemError::MissingNext { name: name(s.var) });
+            };
             if pool.width(next) != w {
-                return Err(ValidateSystemError::WidthMismatch {
-                    context: format!("next({name})"),
-                    expected: w,
-                    actual: pool.width(next),
-                });
+                return width_mismatch(format!("next({})", name(s.var)), w, next);
             }
-            if let Some(init) = s.init {
-                if pool.width(init) != w {
-                    return Err(ValidateSystemError::WidthMismatch {
-                        context: format!("init({name})"),
-                        expected: w,
-                        actual: pool.width(init),
-                    });
-                }
+            if let Some(init) = s.init.filter(|&i| pool.width(i) != w) {
+                return width_mismatch(format!("init({})", name(s.var)), w, init);
             }
         }
-        for (name, e) in &self.outputs {
-            self.check_support(pool, *e, &format!("output '{name}'"))?;
+        // One walk over the system's expression DAG: a node is visited
+        // once, however many roots share it.
+        let mut walk = SupportWalk::new(self, pool);
+        let foreign = |context: String, v: VarId| {
+            Err(ValidateSystemError::ForeignVariable {
+                context,
+                name: name(v),
+            })
+        };
+        for (out, e) in &self.outputs {
+            if let Some(v) = walk.undeclared(*e) {
+                return foreign(format!("output '{out}'"), v);
+            }
         }
-        for (i, e) in self.constraints.iter().enumerate() {
+        for (i, &e) in self.constraints.iter().enumerate() {
+            if pool.width(e) != 1 {
+                return width_mismatch(format!("constraint #{i}"), 1, e);
+            }
+            if let Some(v) = walk.undeclared(e) {
+                return foreign(format!("constraint #{i}"), v);
+            }
+        }
+        for (bad, e) in &self.bads {
             if pool.width(*e) != 1 {
-                return Err(ValidateSystemError::WidthMismatch {
-                    context: format!("constraint #{i}"),
-                    expected: 1,
-                    actual: pool.width(*e),
-                });
+                return width_mismatch(format!("bad '{bad}'"), 1, *e);
             }
-            self.check_support(pool, *e, &format!("constraint #{i}"))?;
-        }
-        for (name, e) in &self.bads {
-            if pool.width(*e) != 1 {
-                return Err(ValidateSystemError::WidthMismatch {
-                    context: format!("bad '{name}'"),
-                    expected: 1,
-                    actual: pool.width(*e),
-                });
+            if let Some(v) = walk.undeclared(*e) {
+                return foreign(format!("bad '{bad}'"), v);
             }
-            self.check_support(pool, *e, &format!("bad '{name}'"))?;
         }
         for s in &self.states {
-            if let Some(next) = s.next {
-                self.check_support(pool, next, &format!("next({})", pool.var_name(s.var)))?;
-            }
-            if let Some(init) = s.init {
-                // Inits may only reference other initial state vars or
-                // nothing; we allow state vars (interpreted at cycle 0).
-                self.check_support(pool, init, &format!("init({})", pool.var_name(s.var)))?;
-            }
-        }
-        Ok(())
-    }
-
-    fn check_support(
-        &self,
-        pool: &ExprPool,
-        e: ExprRef,
-        context: &str,
-    ) -> Result<(), ValidateSystemError> {
-        for v in pool.support(e) {
-            if !self.is_state(v) && !self.inputs.contains(&v) {
-                return Err(ValidateSystemError::ForeignVariable {
-                    context: context.to_string(),
-                    name: pool.var_name(v).to_string(),
-                });
+            // Inits may reference state variables (read at cycle 0).
+            for (role, e) in [("next", s.next), ("init", s.init)] {
+                if let Some(v) = e.and_then(|e| walk.undeclared(e)) {
+                    return foreign(format!("{role}({})", name(s.var)), v);
+                }
             }
         }
         Ok(())
@@ -418,6 +409,65 @@ impl TransitionSystem {
         self.outputs.extend(other.outputs.iter().cloned());
         self.constraints.extend(other.constraints.iter().copied());
         self.bads.extend(other.bads.iter().cloned());
+    }
+}
+
+/// The variable check behind [`TransitionSystem::validate`]: one
+/// depth-first walk over the system's expression DAG, sharing a visited
+/// set across roots.
+struct SupportWalk<'a> {
+    pool: &'a ExprPool,
+    /// Whether the system declares the variable, by variable index.
+    declared: Vec<bool>,
+    /// Nodes already walked, by expression index. A walked node's
+    /// variables are all declared: a walk that finds one undeclared
+    /// ends validation.
+    seen: Vec<bool>,
+    stack: Vec<ExprRef>,
+}
+
+impl<'a> SupportWalk<'a> {
+    fn new(ts: &TransitionSystem, pool: &'a ExprPool) -> Self {
+        let mut declared = vec![false; pool.var_count()];
+        let vars = ts.inputs.iter().chain(ts.states.iter().map(|s| &s.var));
+        for v in vars {
+            // A variable of another pool cannot occur in this one's
+            // expressions.
+            if let Some(d) = declared.get_mut(v.index()) {
+                *d = true;
+            }
+        }
+        SupportWalk {
+            pool,
+            declared,
+            seen: vec![false; pool.len()],
+            stack: Vec::new(),
+        }
+    }
+
+    /// The lowest undeclared variable `root` depends on, if any.
+    fn undeclared(&mut self, root: ExprRef) -> Option<VarId> {
+        let mut found: Option<VarId> = None;
+        self.stack.push(root);
+        while let Some(e) = self.stack.pop() {
+            if std::mem::replace(&mut self.seen[e.index()], true) {
+                continue;
+            }
+            match *self.pool.node(e) {
+                Node::Const(_) => {}
+                Node::Var(v) => {
+                    if !self.declared[v.index()] && found.is_none_or(|f| v < f) {
+                        found = Some(v);
+                    }
+                }
+                Node::Unary(_, a) | Node::Extract { arg: a, .. } | Node::Extend { arg: a, .. } => {
+                    self.stack.push(a);
+                }
+                Node::Binary(_, a, b) => self.stack.extend([a, b]),
+                Node::Ite { cond, then_, else_ } => self.stack.extend([cond, then_, else_]),
+            }
+        }
+        found
     }
 }
 
@@ -475,8 +525,16 @@ mod tests {
         let mut ts = TransitionSystem::new("bad");
         let _ = ts.add_state(&mut p, "orphan", 8);
         let err = ts.validate(&p).unwrap_err();
-        assert!(matches!(err, ValidateSystemError::MissingNext { .. }));
-        assert!(err.to_string().contains("orphan"));
+        assert_eq!(
+            err,
+            ValidateSystemError::MissingNext {
+                name: "orphan".into()
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "state variable 'orphan' has no next-state expression"
+        );
     }
 
     #[test]
@@ -487,7 +545,18 @@ mod tests {
         let narrow = p.lit(4, 0);
         ts.set_next(s, narrow);
         let err = ts.validate(&p).unwrap_err();
-        assert!(matches!(err, ValidateSystemError::WidthMismatch { .. }));
+        assert_eq!(
+            err,
+            ValidateSystemError::WidthMismatch {
+                context: "next(s)".into(),
+                expected: 8,
+                actual: 4,
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "width mismatch in next(s): expected 8, got 4"
+        );
     }
 
     #[test]
@@ -500,8 +569,17 @@ mod tests {
         let ae = p.var_expr(alien);
         ts.set_next(s, ae);
         let err = ts.validate(&p).unwrap_err();
-        assert!(matches!(err, ValidateSystemError::ForeignVariable { .. }));
-        assert!(err.to_string().contains("alien"));
+        assert_eq!(
+            err,
+            ValidateSystemError::ForeignVariable {
+                context: "next(s)".into(),
+                name: "alien".into(),
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "next(s) references undeclared variable 'alien'"
+        );
     }
 
     #[test]
@@ -513,7 +591,61 @@ mod tests {
         ts.set_next(s, se);
         ts.add_bad("wide", se);
         let err = ts.validate(&p).unwrap_err();
-        assert!(matches!(err, ValidateSystemError::WidthMismatch { .. }));
+        assert_eq!(
+            err,
+            ValidateSystemError::WidthMismatch {
+                context: "bad 'wide'".into(),
+                expected: 1,
+                actual: 8,
+            }
+        );
+    }
+
+    /// A system whose register reads two undeclared variables and,
+    /// optionally, with an 8-bit bad.
+    fn two_faults(p: &mut ExprPool, wide_bad: bool) -> TransitionSystem {
+        let mut ts = TransitionSystem::new("faulty");
+        let s = ts.add_register(p, "s", 8, 0);
+        let se = p.var_expr(s);
+        ts.add_output("s", se);
+        // Created on the pool in this order, declared on no system.
+        let early = p.var("early", 8, VarKind::Input);
+        let late = p.var("late", 8, VarKind::Input);
+        let (ee, le) = (p.var_expr(early), p.var_expr(late));
+        let diff = p.sub(ee, le);
+        let next = p.add(diff, se);
+        ts.set_next(s, next);
+        if wide_bad {
+            ts.add_bad("wide", se);
+        }
+        ts
+    }
+
+    #[test]
+    fn faults_are_reported_in_check_order() {
+        let mut p = ExprPool::new();
+        // Bad widths are checked before next-state variables, although
+        // the register is declared first.
+        let err = two_faults(&mut p, true).validate(&p).unwrap_err();
+        assert_eq!(
+            err,
+            ValidateSystemError::WidthMismatch {
+                context: "bad 'wide'".into(),
+                expected: 1,
+                actual: 8,
+            }
+        );
+        // Without it, the next function's undeclared variable created
+        // first on the pool is named.
+        let mut p = ExprPool::new();
+        let err = two_faults(&mut p, false).validate(&p).unwrap_err();
+        assert_eq!(
+            err,
+            ValidateSystemError::ForeignVariable {
+                context: "next(s)".into(),
+                name: "early".into(),
+            }
+        );
     }
 
     #[test]
