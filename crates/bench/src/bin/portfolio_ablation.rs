@@ -6,9 +6,9 @@
 //!
 //! Times a full BMC check of the buggy design once with the plain CDCL
 //! backend (the baseline), then with the portfolio backend at 1/2/4/8
-//! workers, clause sharing on and off — the grid behind the
-//! "Portfolio ablation" section of EXPERIMENTS.md. Every configuration
-//! must return the same verdict; the tool exits non-zero otherwise.
+//! workers — the rows behind the "Portfolio ablation" section of
+//! EXPERIMENTS.md. Every configuration must return the same verdict;
+//! the tool exits non-zero otherwise.
 //!
 //! Timings are wall clock on whatever cores the host gives the process,
 //! so interpret multi-worker rows accordingly (on a single-core
@@ -61,47 +61,38 @@ fn main() {
     let (composed, _) = harness.build(&mut pool);
     println!("case {case_id} (buggy), bound {bound}: {composed}");
     println!(
-        "{:<26} {:>9} {:>11} {:>9} {:>9} {:>9} {:>7}",
-        "config", "time(s)", "conflicts", "exported", "imported", "wasted", "verdict"
+        "{:<26} {:>9} {:>11} {:>9} {:>7}",
+        "config", "time(s)", "conflicts", "wasted", "verdict"
     );
 
     let options = BmcOptions::default().with_max_bound(bound);
     let (base_t, base_r, base_s) = check::<Solver>(&composed, &mut pool, options.clone());
     println!(
-        "{:<26} {:>9.2} {:>11} {:>9} {:>9} {:>9} {:>7}",
+        "{:<26} {:>9.2} {:>11} {:>9} {:>7}",
         "cdcl (baseline)",
         base_t,
         base_s.solver.conflicts,
-        "-",
-        "-",
         "-",
         verdict(&base_r)
     );
 
     let mut ok = true;
-    for &sharing in &[true, false] {
-        for &workers in &[1usize, 2, 4, 8] {
-            let (t, r, s) = check::<PortfolioBackend>(
-                &composed,
-                &mut pool,
-                options.clone().with_portfolio(workers, sharing),
-            );
-            let label = format!(
-                "portfolio w={workers} share={}",
-                if sharing { "on" } else { "off" }
-            );
-            println!(
-                "{label:<26} {t:>9.2} {:>11} {:>9} {:>9} {:>9} {:>7}",
-                s.solver.conflicts,
-                s.solver.shared_exported,
-                s.solver.shared_imported,
-                s.solver.wasted_conflicts,
-                verdict(&r)
-            );
-            if verdict(&r) != verdict(&base_r) {
-                eprintln!("VERDICT MISMATCH: {label} returned {}", verdict(&r));
-                ok = false;
-            }
+    for &workers in &[1usize, 2, 4, 8] {
+        let (t, r, s) = check::<PortfolioBackend>(
+            &composed,
+            &mut pool,
+            options.clone().with_portfolio(workers),
+        );
+        let label = format!("portfolio w={workers}");
+        println!(
+            "{label:<26} {t:>9.2} {:>11} {:>9} {:>7}",
+            s.solver.conflicts,
+            s.solver.wasted_conflicts,
+            verdict(&r)
+        );
+        if verdict(&r) != verdict(&base_r) {
+            eprintln!("VERDICT MISMATCH: {label} returned {}", verdict(&r));
+            ok = false;
         }
     }
     assert!(ok, "portfolio verdicts diverged from the cdcl baseline");

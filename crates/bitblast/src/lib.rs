@@ -11,8 +11,8 @@
 //! logarithmic barrel shifters, and borrow-chain comparators.
 //!
 //! Every method is generic over [`SatBackend`], so the same encoder
-//! drives the in-tree CDCL solver, the DIMACS-logging backend, or any
-//! future implementation. A blaster is tied to one backend instance: pass
+//! drives the in-tree CDCL solver, the portfolio backend, or any future
+//! implementation. A blaster is tied to one backend instance: pass
 //! the same backend to every call (a fresh backend with an old blaster
 //! produces invalid CNF). The encoding survives budget-interrupted
 //! solves — a backend that returns [`SolveResult::Unknown`](aqed_sat::SolveResult)

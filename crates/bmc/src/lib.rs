@@ -80,11 +80,6 @@ pub struct BmcOptions {
     /// externally armed budget (shared deadline, cancellation) can be
     /// passed to [`Bmc::check_under`] instead.
     pub budget: Budget,
-    /// After a depth is proven violation-free, permanently assert the
-    /// negation of that frame's bad literals. Sound; helps some
-    /// instances (the AES equivalence proofs) and hurts others — measure
-    /// per design.
-    pub prune_checked_bads: bool,
     /// Slice the system to the cone of influence of the selected bads
     /// (plus all constraints) before unrolling (default true). Verdicts
     /// are unchanged; counterexamples are widened back to the full input
@@ -106,9 +101,6 @@ pub struct BmcOptions {
     /// [`SatBackend::set_portfolio`] (default 4). Single-solver backends
     /// ignore it.
     pub portfolio_workers: usize,
-    /// Whether portfolio workers exchange short learnt clauses (default
-    /// true), forwarded together with `portfolio_workers`.
-    pub clause_sharing: bool,
 }
 
 impl Default for BmcOptions {
@@ -118,12 +110,10 @@ impl Default for BmcOptions {
             incremental: true,
             conflict_budget: None,
             budget: Budget::unlimited(),
-            prune_checked_bads: false,
             coi: true,
             preprocess: true,
             escalation_level: None,
             portfolio_workers: 4,
-            clause_sharing: true,
         }
     }
 }
@@ -157,13 +147,6 @@ impl BmcOptions {
         self
     }
 
-    /// Returns the options with checked-bad pruning enabled or disabled.
-    #[must_use]
-    pub fn with_prune_checked_bads(mut self, prune: bool) -> Self {
-        self.prune_checked_bads = prune;
-        self
-    }
-
     /// Returns the options with cone-of-influence reduction enabled or
     /// disabled.
     #[must_use]
@@ -186,12 +169,10 @@ impl BmcOptions {
         self
     }
 
-    /// Returns the options with a portfolio race width and clause-sharing
-    /// switch.
+    /// Returns the options with a portfolio race width.
     #[must_use]
-    pub fn with_portfolio(mut self, workers: usize, sharing: bool) -> Self {
+    pub fn with_portfolio(mut self, workers: usize) -> Self {
         self.portfolio_workers = workers;
-        self.clause_sharing = sharing;
         self
     }
 }
@@ -630,7 +611,6 @@ impl<B: SatBackend + Default> Bmc<B> {
             }
             None => (Session::new(ts, pool, &self.options, armed), 0, None),
         };
-        let prune = self.options.prune_checked_bads;
         let skip_to = self.warm.take().and_then(|w| w.skip_to);
         let mut skipped = false;
         let mut stall = None;
@@ -657,19 +637,14 @@ impl<B: SatBackend + Default> Bmc<B> {
                         .or_else(|| session.arm_frame(pool, k, bad_idx))
                     {
                         None => FrameOutcome::Clean, // every bad statically false here
-                        Some(query) if skip_to.is_some_and(|c| k <= c) => {
-                            // Covered by a reused clean fact: mirror the
-                            // prune side effect (the fact proves these
-                            // bads unreachable) but spend no solver call.
-                            if prune {
-                                session.prune(&query);
-                            }
+                        // Covered by a reused clean fact: no solver call.
+                        Some(_) if skip_to.is_some_and(|c| k <= c) => {
                             skipped = true;
                             FrameOutcome::Clean
                         }
                         Some(query) => {
                             self.stats.solver_calls += 1;
-                            session.solve_armed(ts, pool, k, query, prune)
+                            session.solve_armed(ts, pool, k, query)
                         }
                     };
                     record_growth(&mut sp, pre, &session);
@@ -735,7 +710,6 @@ impl<B: SatBackend + Default> Bmc<B> {
                 record_growth(&mut sp, pre, &session);
                 self.stats.encode_micros += duration_micros(encode_start.elapsed());
             }
-            // No pruning: the session is dropped after this one query.
             let outcome = {
                 let solve_start = Instant::now();
                 let mut sp = aqed_obs::obs_span!("bmc.solve", depth = k);
@@ -744,7 +718,7 @@ impl<B: SatBackend + Default> Bmc<B> {
                     None => FrameOutcome::Clean,
                     Some(query) => {
                         self.stats.solver_calls += 1;
-                        session.solve_armed(ts, pool, k, query, false)
+                        session.solve_armed(ts, pool, k, query)
                     }
                 };
                 record_growth(&mut sp, pre, &session);
@@ -852,7 +826,7 @@ impl<B: SatBackend + Default> Session<B> {
     ) -> Self {
         let mut backend = B::default();
         backend.set_preprocessing(options.preprocess);
-        backend.set_portfolio(options.portfolio_workers, options.clause_sharing);
+        backend.set_portfolio(options.portfolio_workers);
         let mut session = Session {
             backend,
             blaster: BitBlaster::new(),
@@ -917,7 +891,6 @@ impl<B: SatBackend> Session<B> {
         pool: &ExprPool,
         k: usize,
         query: Query,
-        prune: bool,
     ) -> FrameOutcome {
         match self.backend.solve_under(&[query.any]) {
             SolveResult::Sat => FrameOutcome::Cex(self.unroller.extract_cex(
@@ -928,12 +901,7 @@ impl<B: SatBackend> Session<B> {
                 k,
                 &query.bad_lits,
             )),
-            SolveResult::Unsat => {
-                if prune {
-                    self.prune(&query);
-                }
-                FrameOutcome::Clean
-            }
+            SolveResult::Unsat => FrameOutcome::Clean,
             // Backends predating budget support report no reason; the
             // only limit they can hit is the legacy conflict budget.
             SolveResult::Unknown => match self.backend.stop_reason() {
@@ -943,21 +911,15 @@ impl<B: SatBackend> Session<B> {
         }
     }
 
-    /// Fixes a query's bad literals to false permanently (sound once the
-    /// depth is proven violation-free: they are unreachable).
-    fn prune(&mut self, query: &Query) {
-        for &(_, lit) in &query.bad_lits {
-            self.backend.add_clause(&[!lit]);
-        }
-    }
-
     /// Freezes the frame interface ahead of a preprocessing solve: every
     /// already-encoded bit of the symbolic state entering the next frame,
-    /// plus this query's bad literals (pruning may assert their negation
-    /// later). Eliminating these would be sound — the solver reactivates
+    /// plus this query's bad literals, which witness extraction reads
+    /// back. Eliminating these would be sound — the solver reactivates
     /// an eliminated variable when a new clause or assumption touches it —
     /// but each reactivation re-adds stored clauses, so freezing the
-    /// variables known to be re-referenced avoids the churn.
+    /// variables known to be re-referenced avoids the churn. Unfreezing
+    /// the bad literals would also move the search `tests/search_golden.rs`
+    /// pins.
     fn freeze_interface(&mut self, frame_bad_lits: &[(usize, Lit)]) {
         for &e in self.unroller.state_exprs.values() {
             if let Some(bits) = self.blaster.cached_bits(e) {
@@ -1312,32 +1274,6 @@ mod tests {
             let d2 = r2.counterexample().map(|c| c.depth);
             assert_eq!(d1, d2);
             assert_eq!(d1, Some(target as usize));
-        }
-    }
-
-    #[test]
-    fn dimacs_backend_agrees_with_cdcl() {
-        for target in [3u64, 12] {
-            let mut p1 = ExprPool::new();
-            let ts1 = counter_system(&mut p1, target);
-            let mut cdcl = Bmc::new(&ts1, BmcOptions::default().with_max_bound(8));
-            let r1 = cdcl.check(&ts1, &mut p1);
-
-            let mut p2 = ExprPool::new();
-            let ts2 = counter_system(&mut p2, target);
-            let mut logged: Bmc<aqed_sat::DimacsBackend> =
-                Bmc::with_backend(&ts2, BmcOptions::default().with_max_bound(8));
-            let r2 = logged.check(&ts2, &mut p2);
-
-            assert_eq!(r1.is_clean(), r2.is_clean(), "target {target}");
-            assert_eq!(
-                r1.counterexample().map(|c| c.depth),
-                r2.counterexample().map(|c| c.depth),
-                "target {target}"
-            );
-            if let Some(cex) = r2.counterexample() {
-                assert!(cex.replay(&ts2, &p2));
-            }
         }
     }
 

@@ -24,54 +24,6 @@ use aqed_sim::Testbench;
 use aqed_tsys::{to_btor2, to_vcd};
 use std::fmt;
 
-/// Which SAT backend `aqed verify` drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BackendChoice {
-    /// The in-process CDCL solver.
-    #[default]
-    Cdcl,
-    /// The CDCL solver wrapped in an iCNF (incremental DIMACS) logger.
-    Dimacs,
-    /// A portfolio of diversified CDCL solvers racing per solve call,
-    /// with clause sharing (`--portfolio-workers` sets the width).
-    Portfolio,
-}
-
-impl fmt::Display for BackendChoice {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            BackendChoice::Cdcl => "cdcl",
-            BackendChoice::Dimacs => "dimacs",
-            BackendChoice::Portfolio => "portfolio",
-        })
-    }
-}
-
-impl From<BackendChoice> for BackendKind {
-    fn from(choice: BackendChoice) -> Self {
-        match choice {
-            BackendChoice::Cdcl => BackendKind::Cdcl,
-            BackendChoice::Dimacs => BackendKind::Dimacs,
-            BackendChoice::Portfolio => BackendKind::Portfolio,
-        }
-    }
-}
-
-impl std::str::FromStr for BackendChoice {
-    type Err = ParseCommandError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "cdcl" => Ok(BackendChoice::Cdcl),
-            "dimacs" => Ok(BackendChoice::Dimacs),
-            "portfolio" => Ok(BackendChoice::Portfolio),
-            other => Err(ParseCommandError(format!(
-                "unknown backend '{other}' (expected 'cdcl', 'dimacs' or 'portfolio')"
-            ))),
-        }
-    }
-}
-
 /// A parsed command.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Command {
@@ -94,11 +46,9 @@ pub enum Command {
         /// Worker threads for the obligation scheduler.
         jobs: usize,
         /// SAT backend to drive.
-        backend: BackendChoice,
+        backend: BackendKind,
         /// Race width for `--backend portfolio` (ignored otherwise).
         portfolio_workers: usize,
-        /// Whether portfolio workers exchange short learnt clauses.
-        clause_sharing: bool,
         /// Wall-clock deadline in seconds for the whole run.
         timeout: Option<u64>,
         /// Conflict budget per solver call (retried with doubled budget
@@ -175,9 +125,8 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Pa
             let mut vcd = None;
             let mut witness = false;
             let mut jobs = 1;
-            let mut backend = BackendChoice::default();
+            let mut backend = BackendKind::default();
             let mut portfolio_workers = 4;
-            let mut clause_sharing = true;
             let mut timeout = None;
             let mut conflict_budget = None;
             let mut fail_fast = false;
@@ -224,7 +173,8 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Pa
                         backend = args
                             .get(i)
                             .ok_or_else(|| ParseCommandError("--backend needs a name".into()))?
-                            .parse()?;
+                            .parse()
+                            .map_err(ParseCommandError)?;
                     }
                     "--portfolio-workers" => {
                         i += 1;
@@ -236,7 +186,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Pa
                                 ParseCommandError(format!("invalid worker count '{v}'"))
                             })?;
                     }
-                    "--no-clause-sharing" => clause_sharing = false,
                     "--timeout" => {
                         i += 1;
                         let v = args.get(i).ok_or_else(|| {
@@ -307,7 +256,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Pa
                 jobs,
                 backend,
                 portfolio_workers,
-                clause_sharing,
                 timeout,
                 conflict_budget,
                 fail_fast,
@@ -348,8 +296,8 @@ pub fn usage() -> &'static str {
 USAGE:
   aqed list                            enumerate the catalogued bug cases
   aqed verify <case> [--bound N] [--healthy] [--vcd FILE] [--witness]
-                     [--jobs N] [--backend cdcl|dimacs|portfolio]
-                     [--portfolio-workers N] [--no-clause-sharing]
+                     [--jobs N] [--backend cdcl|portfolio]
+                     [--portfolio-workers N]
                      [--timeout SECS] [--conflict-budget N] [--fail-fast]
                      [--no-preprocess] [--no-coi] [--store-dir DIR]
                      [--trace-out FILE] [--report-json FILE]
@@ -359,9 +307,7 @@ USAGE:
                                        --backend portfolio races
                                        --portfolio-workers (default 4)
                                        diversified CDCL solvers per obligation,
-                                       first verdict wins; workers exchange
-                                       short learnt clauses unless
-                                       --no-clause-sharing is given.
+                                       first verdict wins.
                                        --timeout bounds the whole run's wall
                                        clock; --conflict-budget caps solver
                                        effort per call (doubled on retry, and
@@ -402,7 +348,7 @@ USAGE:
 fn print_obligation_stats(
     out: &mut dyn std::io::Write,
     report: &ParallelVerifyReport,
-    backend: BackendChoice,
+    backend: BackendKind,
 ) -> std::io::Result<()> {
     writeln!(
         out,
@@ -517,7 +463,6 @@ pub fn run_with_stop(
             jobs,
             backend,
             portfolio_workers,
-            clause_sharing,
             timeout,
             conflict_budget,
             fail_fast,
@@ -535,9 +480,8 @@ pub fn run_with_stop(
                 healthy: *healthy,
                 bound: *bound,
                 jobs: *jobs,
-                backend: (*backend).into(),
+                backend: *backend,
                 portfolio_workers: *portfolio_workers,
-                clause_sharing: *clause_sharing,
                 timeout: timeout.map(std::time::Duration::from_secs),
                 conflict_budget: *conflict_budget,
                 fail_fast: *fail_fast,
@@ -785,9 +729,8 @@ mod tests {
                 vcd: None,
                 witness: true,
                 jobs: 1,
-                backend: BackendChoice::Cdcl,
+                backend: BackendKind::Cdcl,
                 portfolio_workers: 4,
-                clause_sharing: true,
                 timeout: None,
                 conflict_budget: None,
                 fail_fast: false,
@@ -807,31 +750,8 @@ mod tests {
                 vcd: Some("/tmp/x.vcd".into()),
                 witness: false,
                 jobs: 1,
-                backend: BackendChoice::Cdcl,
+                backend: BackendKind::Cdcl,
                 portfolio_workers: 4,
-                clause_sharing: true,
-                timeout: None,
-                conflict_budget: None,
-                fail_fast: false,
-                preprocess: true,
-                coi: true,
-                trace_out: None,
-                report_json: None,
-                store_dir: None
-            })
-        );
-        assert_eq!(
-            parse(&["verify", "x", "--jobs", "4", "--backend", "dimacs"]),
-            Ok(Command::Verify {
-                case: "x".into(),
-                bound: None,
-                healthy: false,
-                vcd: None,
-                witness: false,
-                jobs: 4,
-                backend: BackendChoice::Dimacs,
-                portfolio_workers: 4,
-                clause_sharing: true,
                 timeout: None,
                 conflict_budget: None,
                 fail_fast: false,
@@ -845,6 +765,15 @@ mod tests {
     }
 
     #[test]
+    fn refuses_the_dimacs_backend() {
+        let err = parse(&["verify", "x", "--backend", "dimacs"]).unwrap_err();
+        assert!(
+            err.0.contains("dimacs") && err.0.contains("cdcl") && err.0.contains("portfolio"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn parses_portfolio_flags() {
         match parse(&[
             "verify",
@@ -853,23 +782,20 @@ mod tests {
             "portfolio",
             "--portfolio-workers",
             "8",
-            "--no-clause-sharing",
         ])
         .expect("parse")
         {
             Command::Verify {
                 backend,
                 portfolio_workers,
-                clause_sharing,
                 ..
             } => {
-                assert_eq!(backend, BackendChoice::Portfolio);
+                assert_eq!(backend, BackendKind::Portfolio);
                 assert_eq!(portfolio_workers, 8);
-                assert!(!clause_sharing);
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(BackendChoice::Portfolio.to_string(), "portfolio");
+        assert!(parse(&["verify", "x", "--no-clause-sharing"]).is_err());
         assert!(parse(&["verify", "x", "--portfolio-workers"]).is_err());
         assert!(parse(&["verify", "x", "--portfolio-workers", "0"]).is_err());
         assert!(parse(&["verify", "x", "--portfolio-workers", "lots"]).is_err());
@@ -894,9 +820,8 @@ mod tests {
                 vcd: None,
                 witness: false,
                 jobs: 1,
-                backend: BackendChoice::Cdcl,
+                backend: BackendKind::Cdcl,
                 portfolio_workers: 4,
-                clause_sharing: true,
                 timeout: Some(30),
                 conflict_budget: Some(5000),
                 fail_fast: true,
@@ -977,9 +902,8 @@ mod tests {
                 vcd: None,
                 witness: false,
                 jobs: 1,
-                backend: BackendChoice::Cdcl,
+                backend: BackendKind::Cdcl,
                 portfolio_workers: 4,
-                clause_sharing: true,
                 timeout: None,
                 conflict_budget: None,
                 fail_fast: false,
@@ -1007,9 +931,8 @@ mod tests {
                 vcd: None,
                 witness: false,
                 jobs: 1,
-                backend: BackendChoice::Cdcl,
+                backend: BackendKind::Cdcl,
                 portfolio_workers: 4,
-                clause_sharing: true,
                 timeout: None,
                 conflict_budget: None,
                 fail_fast: false,
@@ -1030,7 +953,7 @@ mod tests {
 
     #[test]
     fn verify_portfolio_matches_cdcl_verdict() {
-        let run_with = |backend: BackendChoice| {
+        let run_with = |backend: BackendKind| {
             let mut buf = Vec::new();
             let code = run(
                 &Command::Verify {
@@ -1042,7 +965,6 @@ mod tests {
                     jobs: 1,
                     backend,
                     portfolio_workers: 2,
-                    clause_sharing: true,
                     timeout: None,
                     conflict_budget: None,
                     fail_fast: false,
@@ -1057,8 +979,8 @@ mod tests {
             .expect("io");
             (code, String::from_utf8_lossy(&buf).to_string())
         };
-        let (cdcl_code, cdcl_text) = run_with(BackendChoice::Cdcl);
-        let (port_code, port_text) = run_with(BackendChoice::Portfolio);
+        let (cdcl_code, cdcl_text) = run_with(BackendKind::Cdcl);
+        let (port_code, port_text) = run_with(BackendKind::Portfolio);
         assert_eq!(
             cdcl_code, port_code,
             "cdcl:\n{cdcl_text}\nportfolio:\n{port_text}"
@@ -1089,9 +1011,8 @@ mod tests {
                 vcd: None,
                 witness: false,
                 jobs: 2,
-                backend: BackendChoice::Cdcl,
+                backend: BackendKind::Cdcl,
                 portfolio_workers: 4,
-                clause_sharing: true,
                 timeout: None,
                 conflict_budget: Some(1),
                 fail_fast: false,
@@ -1121,9 +1042,8 @@ mod tests {
                 vcd: None,
                 witness: false,
                 jobs: 2,
-                backend: BackendChoice::Cdcl,
+                backend: BackendKind::Cdcl,
                 portfolio_workers: 4,
-                clause_sharing: true,
                 timeout: Some(600),
                 conflict_budget: None,
                 fail_fast: true,

@@ -924,7 +924,7 @@ mod tests {
     use crate::monitor::{FcConfig, RbConfig};
     use crate::AqedHarness;
     use aqed_hls::{synthesize, AccelSpec, SynthOptions};
-    use aqed_sat::DimacsBackend;
+    use aqed_sat::PortfolioBackend;
 
     fn buggy_harness_report(jobs: usize) -> ParallelVerifyReport {
         let mut p = ExprPool::new();
@@ -1125,13 +1125,13 @@ mod tests {
     }
 
     #[test]
-    fn clean_design_clean_under_parallel_dimacs_backend() {
+    fn clean_design_clean_under_parallel_portfolio_backend() {
         let mut p = ExprPool::new();
         let spec = AccelSpec::new("ident", 2, 6, 6).with_latency(2);
         let lca = synthesize(&spec, &mut p, SynthOptions::default(), |_pool, _a, d| d);
         let report = AqedHarness::new(&lca)
             .with_fc(FcConfig::default())
-            .verify_parallel_with::<DimacsBackend>(&mut p, 6, 3);
+            .verify_parallel_with::<PortfolioBackend>(&mut p, 6, 3);
         assert!(
             matches!(report.outcome, CheckOutcome::Clean { bound: 6 }),
             "{report}"

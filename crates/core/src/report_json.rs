@@ -36,8 +36,6 @@ fn solver_stats_json(s: &SolverStats) -> Json {
         // Always 0; kept in the struct for the benchmark only.
         learnt_imported: _,
         // Portfolio-only bookkeeping; not part of the report schema.
-        shared_exported: _,
-        shared_imported: _,
         wasted_conflicts: _,
         portfolio_winner: _,
     } = *s;

@@ -23,7 +23,7 @@ use aqed_core::{
 use aqed_designs::{all_cases, BugCase};
 use aqed_expr::ExprPool;
 use aqed_obs::json::Json;
-use aqed_sat::{DimacsBackend, PortfolioBackend, Solver};
+use aqed_sat::{PortfolioBackend, Solver};
 use aqed_tsys::TransitionSystem;
 use std::fmt;
 use std::sync::Arc;
@@ -35,11 +35,8 @@ pub enum BackendKind {
     /// The in-process CDCL solver.
     #[default]
     Cdcl,
-    /// The CDCL solver wrapped in an iCNF (incremental DIMACS) logger.
-    Dimacs,
-    /// A portfolio of diversified CDCL solvers racing per solve call,
-    /// with clause sharing ([`VerifyRequest::portfolio_workers`] sets
-    /// the width).
+    /// A portfolio of diversified CDCL solvers racing per solve call
+    /// ([`VerifyRequest::portfolio_workers`] sets the width).
     Portfolio,
 }
 
@@ -47,7 +44,6 @@ impl fmt::Display for BackendKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             BackendKind::Cdcl => "cdcl",
-            BackendKind::Dimacs => "dimacs",
             BackendKind::Portfolio => "portfolio",
         })
     }
@@ -59,10 +55,9 @@ impl std::str::FromStr for BackendKind {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "cdcl" => Ok(BackendKind::Cdcl),
-            "dimacs" => Ok(BackendKind::Dimacs),
             "portfolio" => Ok(BackendKind::Portfolio),
             other => Err(format!(
-                "unknown backend '{other}' (expected 'cdcl', 'dimacs' or 'portfolio')"
+                "unknown backend '{other}' (expected 'cdcl' or 'portfolio')"
             )),
         }
     }
@@ -86,8 +81,6 @@ pub struct VerifyRequest {
     pub backend: BackendKind,
     /// Race width for the portfolio backend (ignored otherwise).
     pub portfolio_workers: usize,
-    /// Whether portfolio workers exchange short learnt clauses.
-    pub clause_sharing: bool,
     /// Wall-clock deadline for the whole run.
     pub timeout: Option<Duration>,
     /// Conflict budget per solver call (retried with doubled budget up
@@ -113,7 +106,6 @@ impl VerifyRequest {
             jobs: 1,
             backend: BackendKind::default(),
             portfolio_workers: 4,
-            clause_sharing: true,
             timeout: None,
             conflict_budget: None,
             fail_fast: false,
@@ -136,7 +128,6 @@ impl VerifyRequest {
                 "portfolio_workers",
                 Json::num(self.portfolio_workers as u64),
             ),
-            ("clause_sharing", Json::Bool(self.clause_sharing)),
             (
                 "timeout_secs",
                 self.timeout
@@ -151,6 +142,8 @@ impl VerifyRequest {
 
     /// Parses a request from its JSON object form. Absent fields take
     /// the [`VerifyRequest::new`] defaults; only `case` is required.
+    /// Unknown fields are ignored, so an older client's `warm_start` or
+    /// `clause_sharing` still decodes.
     ///
     /// # Errors
     ///
@@ -180,17 +173,15 @@ impl VerifyRequest {
             req.portfolio_workers =
                 (w.as_u64().ok_or("'portfolio_workers' must be a number")? as usize).max(1);
         }
-        if let Some(c) = v.get("clause_sharing") {
-            req.clause_sharing = c.as_bool().ok_or("'clause_sharing' must be a bool")?;
-        }
         match v.get("timeout_secs") {
             None | Some(Json::Null) => {}
             Some(t) => {
                 let secs = t.as_f64().ok_or("'timeout_secs' must be a number")?;
-                if secs <= 0.0 || !secs.is_finite() {
-                    return Err("'timeout_secs' must be positive".into());
-                }
-                req.timeout = Some(Duration::from_secs_f64(secs));
+                let timeout = Duration::try_from_secs_f64(secs)
+                    .ok()
+                    .filter(|d| !d.is_zero())
+                    .ok_or("'timeout_secs' must be positive and representable")?;
+                req.timeout = Some(timeout);
             }
         }
         match v.get("conflict_budget") {
@@ -376,7 +367,7 @@ impl Engine {
             .with_budget(budget)
             .with_preprocess(req.preprocess)
             .with_coi(req.coi)
-            .with_portfolio(req.portfolio_workers, req.clause_sharing);
+            .with_portfolio(req.portfolio_workers);
         options.conflict_budget = req.conflict_budget;
         let sched = ScheduleOptions::default()
             .with_jobs(req.jobs)
@@ -390,9 +381,6 @@ impl Engine {
             BackendKind::Cdcl => {
                 verify_obligations_governed::<Solver>(&composed, &pool, &options, &sched, &ctx)
             }
-            BackendKind::Dimacs => verify_obligations_governed::<DimacsBackend>(
-                &composed, &pool, &options, &sched, &ctx,
-            ),
             BackendKind::Portfolio => verify_obligations_governed::<PortfolioBackend>(
                 &composed, &pool, &options, &sched, &ctx,
             ),
@@ -431,11 +419,7 @@ mod tests {
 
     #[test]
     fn backend_kind_round_trips() {
-        for kind in [
-            BackendKind::Cdcl,
-            BackendKind::Dimacs,
-            BackendKind::Portfolio,
-        ] {
+        for kind in [BackendKind::Cdcl, BackendKind::Portfolio] {
             assert_eq!(kind.to_string().parse::<BackendKind>(), Ok(kind));
         }
         assert!("z4".parse::<BackendKind>().is_err());
@@ -449,7 +433,6 @@ mod tests {
         req.jobs = 4;
         req.backend = BackendKind::Portfolio;
         req.portfolio_workers = 2;
-        req.clause_sharing = false;
         req.timeout = Some(Duration::from_secs(30));
         req.conflict_budget = Some(5000);
         req.fail_fast = true;
@@ -463,11 +446,24 @@ mod tests {
             VerifyRequest::from_json(&minimal).expect("minimal"),
             VerifyRequest::new("aes_v1")
         );
-        // An old client's `warm_start` field is ignored, not rejected.
-        let legacy = aqed_obs::json::parse(r#"{"case":"aes_v1","warm_start":false}"#).unwrap();
-        assert_eq!(
-            VerifyRequest::from_json(&legacy).expect("legacy"),
-            VerifyRequest::new("aes_v1")
+        // An old client's `warm_start` and `clause_sharing` fields are
+        // ignored, not rejected.
+        for legacy in [
+            r#"{"case":"aes_v1","warm_start":false}"#,
+            r#"{"case":"aes_v1","clause_sharing":false}"#,
+        ] {
+            let legacy = aqed_obs::json::parse(legacy).unwrap();
+            assert_eq!(
+                VerifyRequest::from_json(&legacy).expect("legacy"),
+                VerifyRequest::new("aes_v1")
+            );
+        }
+        // A removed backend is rejected, naming the accepted ones.
+        let dimacs = aqed_obs::json::parse(r#"{"case":"aes_v1","backend":"dimacs"}"#).unwrap();
+        let err = VerifyRequest::from_json(&dimacs).unwrap_err();
+        assert!(
+            err.contains("dimacs") && err.contains("cdcl") && err.contains("portfolio"),
+            "{err}"
         );
         // Missing case: rejected.
         let empty = aqed_obs::json::parse("{}").unwrap();

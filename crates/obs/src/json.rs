@@ -6,6 +6,10 @@
 //! JSON). It supports exactly the JSON the stack produces: finite
 //! numbers, UTF-8 strings with standard escapes, arrays, objects
 //! (insertion-ordered, duplicate keys rejected), `true`/`false`/`null`.
+//!
+//! The parser also reads untrusted wire lines, so its cost is bounded
+//! by the input: nesting stops at [`MAX_DEPTH`] levels, and duplicate
+//! keys are found by sorting, not by comparing every pair.
 
 use std::fmt::{self, Write as _};
 
@@ -231,11 +235,18 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so the bound keeps a line of brackets from
+/// overflowing the stack; every document the stack writes nests far
+/// less.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -249,6 +260,8 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -289,8 +302,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -299,6 +312,18 @@ impl<'a> Parser<'a> {
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object a level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Json, JsonError>) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
@@ -312,9 +337,6 @@ impl<'a> Parser<'a> {
         loop {
             self.skip_ws();
             let key = self.string()?;
-            if fields.iter().any(|(k, _)| *k == key) {
-                return Err(self.err(&format!("duplicate key {key:?}")));
-            }
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
@@ -324,6 +346,9 @@ impl<'a> Parser<'a> {
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
+                    if let Some(key) = duplicate_key(&fields) {
+                        return Err(self.err(&format!("duplicate key {key:?}")));
+                    }
                     self.pos += 1;
                     return Ok(Json::Obj(fields));
                 }
@@ -467,6 +492,13 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// A key that occurs twice among `fields`, found in O(n log n).
+fn duplicate_key(fields: &[(String, Json)]) -> Option<&str> {
+    let mut keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+    keys.sort_unstable();
+    keys.windows(2).find(|w| w[0] == w[1]).map(|w| w[0])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -514,6 +546,37 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "should reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let arrays = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let objects = |n: usize| format!("{}1{}", "{\"a\":".repeat(n), "}".repeat(n));
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(parse(&objects(MAX_DEPTH)).is_ok());
+        let err = parse(&arrays(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.msg.contains("too deep"), "{err}");
+        assert!(parse(&objects(MAX_DEPTH + 1)).is_err());
+        // A wire line of ten thousand open brackets is an error, not a
+        // stack overflow.
+        let hostile = format!("{{\"cmd\":{}", "[".repeat(10_000));
+        assert!(parse(&hostile).unwrap_err().msg.contains("too deep"));
+    }
+
+    #[test]
+    fn duplicate_among_many_keys_is_reported() {
+        let mut text = String::from("{");
+        for i in 0..90_000 {
+            write!(text, "\"k{i}\":0,").unwrap();
+        }
+        let unique = format!("{}}}", text.trim_end_matches(','));
+        assert_eq!(
+            parse(&unique).unwrap().as_obj().map(<[_]>::len),
+            Some(90_000)
+        );
+        text.push_str("\"k45000\":1}");
+        let err = parse(&text).unwrap_err();
+        assert!(err.msg.contains("duplicate key \"k45000\""), "{err}");
     }
 
     #[test]

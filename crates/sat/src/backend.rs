@@ -10,19 +10,15 @@
 //! Two implementations ship in-tree:
 //!
 //! * [`Solver`] — the CDCL engine, the default backend everywhere.
-//! * [`DimacsBackend`] — a logging wrapper that records every clause and
-//!   every query in incremental-DIMACS (iCNF) text while delegating the
-//!   actual solving to an inner CDCL solver. Its log can be fed to
-//!   *any other* backend with [`DimacsBackend::replay`], which is both a
-//!   differential-testing harness and an export path to external solvers
-//!   (the `batsat`/MiniSat family exposes the same interface shape).
+//! * [`PortfolioBackend`](crate::PortfolioBackend) — diversified CDCL
+//!   workers racing on each solve call; the first verdict wins.
 //!
 //! # Examples
 //!
 //! Generic code works with any backend:
 //!
 //! ```
-//! use aqed_sat::{DimacsBackend, SatBackend, SolveResult, Solver};
+//! use aqed_sat::{PortfolioBackend, SatBackend, SolveResult, Solver};
 //!
 //! fn tiny<B: SatBackend>(b: &mut B) -> SolveResult {
 //!     let x = b.new_var();
@@ -33,14 +29,11 @@
 //! }
 //!
 //! assert_eq!(tiny(&mut Solver::new()), SolveResult::Sat);
-//! let mut logging = DimacsBackend::new();
-//! assert_eq!(tiny(&mut logging), SolveResult::Sat);
-//! assert!(logging.log().contains("1 2 0"));
+//! assert_eq!(tiny(&mut PortfolioBackend::new(2)), SolveResult::Sat);
 //! ```
 
 use crate::budget::{ArmedBudget, StopReason};
 use crate::{Lit, SolveResult, Solver, SolverStats, Var};
-use std::fmt::Write as _;
 
 /// An incremental SAT solver usable by the bit-blaster and the model
 /// checkers.
@@ -134,10 +127,10 @@ pub trait SatBackend {
         let _ = level;
     }
 
-    /// Sets the race width and the clause-sharing switch of a portfolio
-    /// backend. Single-solver backends ignore it.
-    fn set_portfolio(&mut self, workers: usize, sharing: bool) {
-        let _ = (workers, sharing);
+    /// Sets the race width of a portfolio backend. Single-solver
+    /// backends ignore it.
+    fn set_portfolio(&mut self, workers: usize) {
+        let _ = workers;
     }
 }
 
@@ -203,227 +196,10 @@ impl SatBackend for Solver {
     }
 }
 
-/// DIMACS literal of `l` (1-based, negative = negated).
-fn to_dimacs(l: Lit) -> i64 {
-    let v = i64::from(l.var().0) + 1;
-    if l.is_positive() {
-        v
-    } else {
-        -v
-    }
-}
-
-/// A backend that records every interaction as incremental DIMACS while
-/// an inner CDCL solver answers the queries.
-///
-/// The log uses the iCNF convention: ordinary clause lines terminated by
-/// `0`, and one `a <lits> 0` line per [`SatBackend::solve_under`] call
-/// carrying the assumptions. [`DimacsBackend::replay`] parses such a log
-/// and drives any other backend through the identical sequence — the
-/// differential-testing loop used by the property tests, and the export
-/// path for running recorded BMC queries on an external solver.
-#[derive(Debug, Clone, Default)]
-pub struct DimacsBackend {
-    inner: Solver,
-    log: String,
-}
-
-impl DimacsBackend {
-    /// Creates an empty logging backend.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The recorded iCNF log.
-    #[must_use]
-    pub fn log(&self) -> &str {
-        &self.log
-    }
-
-    /// Replays an iCNF log (as produced by this backend) on `backend`,
-    /// returning the result of each recorded `a …` query line.
-    ///
-    /// Variables are created on demand up to the highest index mentioned;
-    /// comment (`c`) and header (`p`) lines are skipped.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReplayError`] on malformed literal tokens.
-    pub fn replay<B: SatBackend>(
-        log: &str,
-        backend: &mut B,
-    ) -> Result<Vec<SolveResult>, ReplayError> {
-        let mut vars: Vec<Var> = Vec::new();
-        let mut results = Vec::new();
-        for (lineno, raw) in log.lines().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('c') || line.starts_with('p') {
-                continue;
-            }
-            let (is_query, body) = match line.strip_prefix("a ") {
-                Some(rest) => (true, rest),
-                None if line == "a" => (true, ""),
-                None => (false, line),
-            };
-            let mut lits = Vec::new();
-            for tok in body.split_ascii_whitespace() {
-                let n: i64 = tok.parse().map_err(|_| ReplayError {
-                    line: lineno + 1,
-                    token: tok.to_string(),
-                })?;
-                if n == 0 {
-                    break;
-                }
-                let idx = usize::try_from(n.unsigned_abs()).expect("fits") - 1;
-                while vars.len() <= idx {
-                    vars.push(backend.new_var());
-                }
-                lits.push(vars[idx].lit(n > 0));
-            }
-            if is_query {
-                results.push(backend.solve_under(&lits));
-            } else {
-                backend.add_clause(&lits);
-            }
-        }
-        Ok(results)
-    }
-
-    fn log_clause(&mut self, lits: &[Lit]) {
-        for &l in lits {
-            write!(self.log, "{} ", to_dimacs(l)).expect("string write");
-        }
-        self.log.push_str("0\n");
-    }
-}
-
-/// Error produced by [`DimacsBackend::replay`] on malformed input.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReplayError {
-    /// 1-based line of the offending token.
-    pub line: usize,
-    /// The token that failed to parse.
-    pub token: String,
-}
-
-impl std::fmt::Display for ReplayError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "icnf replay error at line {}: invalid literal '{}'",
-            self.line, self.token
-        )
-    }
-}
-
-impl std::error::Error for ReplayError {}
-
-impl SatBackend for DimacsBackend {
-    fn name(&self) -> &'static str {
-        "dimacs"
-    }
-
-    fn new_var(&mut self) -> Var {
-        self.inner.new_var()
-    }
-
-    fn add_clause(&mut self, lits: &[Lit]) -> bool {
-        self.log_clause(lits);
-        SatBackend::add_clause(&mut self.inner, lits)
-    }
-
-    fn solve_under(&mut self, assumptions: &[Lit]) -> SolveResult {
-        self.log.push('a');
-        for &l in assumptions {
-            write!(self.log, " {}", to_dimacs(l)).expect("string write");
-        }
-        self.log.push_str(" 0\n");
-        self.inner.solve_with(assumptions)
-    }
-
-    fn value(&self, l: Lit) -> Option<bool> {
-        self.inner.model_lit(l)
-    }
-
-    fn stats(&self) -> SolverStats {
-        self.inner.stats()
-    }
-
-    fn num_vars(&self) -> usize {
-        self.inner.num_vars()
-    }
-
-    fn num_clauses(&self) -> usize {
-        self.inner.num_clauses()
-    }
-
-    fn set_conflict_budget(&mut self, budget: Option<u64>) {
-        self.inner.set_conflict_budget(budget);
-    }
-
-    fn set_budget(&mut self, budget: ArmedBudget) {
-        self.inner.set_budget(budget);
-    }
-
-    fn stop_reason(&self) -> Option<StopReason> {
-        self.inner.stop_reason()
-    }
-
-    fn set_preprocessing(&mut self, enabled: bool) {
-        self.inner.set_preprocessing(enabled);
-    }
-
-    fn freeze_var(&mut self, v: Var) {
-        self.inner.freeze_var(v);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Drives a backend through a small incremental session.
-    fn session<B: SatBackend>(b: &mut B) -> Vec<SolveResult> {
-        let v: Vec<Var> = (0..4).map(|_| b.new_var()).collect();
-        b.add_clause(&[v[0].pos(), v[1].pos()]);
-        b.add_clause(&[v[0].neg(), v[2].pos()]);
-        let r1 = b.solve_under(&[]);
-        let r2 = b.solve_under(&[v[0].pos(), v[2].neg()]);
-        b.add_clause(&[v[1].neg()]);
-        let r3 = b.solve_under(&[]);
-        b.add_clause(&[v[0].neg()]);
-        let r4 = b.solve_under(&[]);
-        vec![r1, r2, r3, r4]
-    }
-
-    #[test]
-    fn solver_and_dimacs_agree() {
-        let mut s = Solver::new();
-        let mut d = DimacsBackend::new();
-        assert_eq!(session(&mut s), session(&mut d));
-        assert_eq!(s.name(), "cdcl");
-        assert_eq!(d.name(), "dimacs");
-    }
-
-    #[test]
-    fn log_replays_identically() {
-        let mut d = DimacsBackend::new();
-        let recorded = session(&mut d);
-        let mut fresh = Solver::new();
-        let replayed = DimacsBackend::replay(d.log(), &mut fresh).expect("well-formed log");
-        assert_eq!(recorded, replayed);
-        // The log holds one `a` line per query.
-        assert_eq!(d.log().lines().filter(|l| l.starts_with('a')).count(), 4);
-    }
-
-    #[test]
-    fn replay_rejects_garbage() {
-        let mut s = Solver::new();
-        let err = DimacsBackend::replay("1 x 0\n", &mut s).unwrap_err();
-        assert_eq!(err.line, 1);
-        assert!(err.to_string().contains('x'));
-    }
+    use crate::PortfolioBackend;
 
     #[test]
     fn trait_fast_paths_match_add_clause() {
@@ -445,7 +221,7 @@ mod tests {
 
     #[test]
     fn budget_flows_through_backend() {
-        let mut d = DimacsBackend::new();
+        let mut d = PortfolioBackend::new(2);
         // PHP(5,4) needs more than one conflict.
         let p: Vec<Vec<Var>> = (0..5)
             .map(|_| (0..4).map(|_| d.new_var()).collect())
@@ -474,7 +250,7 @@ mod tests {
     fn armed_budget_flows_through_backend() {
         use crate::budget::Budget;
         use std::time::Duration;
-        let mut d = DimacsBackend::new();
+        let mut d = PortfolioBackend::new(2);
         let v = d.new_var();
         d.add_clause(&[v.pos()]);
         d.set_budget(ArmedBudget::arm(

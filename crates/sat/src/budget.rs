@@ -213,7 +213,8 @@ impl ArmedBudget {
     #[must_use]
     pub fn arm_with(spec: &Budget, stop: StopHandle) -> Self {
         ArmedBudget {
-            deadline: spec.timeout.map(|t| Instant::now() + t),
+            // A deadline past what `Instant` can represent never comes.
+            deadline: spec.timeout.and_then(|t| Instant::now().checked_add(t)),
             max_conflicts: spec.max_conflicts,
             max_propagations: spec.max_propagations,
             max_arena_bytes: spec.max_arena_bytes,
@@ -326,6 +327,14 @@ mod tests {
         let armed = ArmedBudget::unlimited();
         assert_eq!(armed.poll(), None);
         assert_eq!(armed.check(u64::MAX, u64::MAX, u64::MAX), None);
+        assert_eq!(armed.remaining(), None);
+    }
+
+    #[test]
+    fn timeout_past_the_clocks_range_never_trips() {
+        // `aqed verify --timeout 18446744073709551615` arms this.
+        let armed = ArmedBudget::arm(&Budget::unlimited().with_timeout(Duration::MAX));
+        assert_eq!(armed.poll(), None);
         assert_eq!(armed.remaining(), None);
     }
 

@@ -20,8 +20,8 @@
 //!   solver instance across unrolling depths).
 //!
 //! Consumers access solving through the [`SatBackend`] trait, which
-//! [`Solver`] implements alongside the logging/replay [`DimacsBackend`];
-//! the bit-blaster and both model checkers are generic over it.
+//! [`Solver`] implements alongside the racing [`PortfolioBackend`]; the
+//! bit-blaster and the model checker are generic over it.
 //!
 //! # Examples
 //!
@@ -42,19 +42,15 @@
 mod alloc;
 mod backend;
 mod budget;
-mod dimacs;
 mod heap;
 pub mod portfolio;
 mod preprocess;
-pub mod share;
 mod signal;
 mod solver;
 
-pub use backend::{DimacsBackend, ReplayError, SatBackend};
+pub use backend::SatBackend;
 pub use budget::{ArmedBudget, Budget, StopHandle, StopReason};
-pub use dimacs::{parse_dimacs, ParseDimacsError};
 pub use portfolio::PortfolioBackend;
-pub use share::ClausePool;
 pub use signal::stop_on_sigint;
 pub use solver::{
     PhaseMode, PropagationReplay, RestartStrategy, SolveResult, Solver, SolverConfig, SolverStats,

@@ -6,15 +6,13 @@
 //! races the workers on OS threads under child [`ArmedBudget`]s derived
 //! from the backend's own budget: the first worker to reach a definitive
 //! verdict wins and cancels its peers through their child stop handles,
-//! which the losers observe at the next coarse budget tick. Optionally
-//! the workers exchange short, low-glue learnt clauses through the
-//! lossy broadcast rings of [`crate::share`].
+//! which the losers observe at the next coarse budget tick. Workers
+//! share no clauses: each keeps only what it learnt itself.
 //!
 //! # Incrementality
 //!
 //! Between solve calls the backend records every operation (variables,
-//! clauses, frozen variables) in a flat op log, mirroring the iCNF
-//! discipline of [`crate::DimacsBackend`]. Worker 0 is kept in sync
+//! clauses, frozen variables) in a flat op log. Worker 0 is kept in sync
 //! eagerly and answers all read-side queries; the remaining workers are
 //! materialized lazily — on the first race — by replaying the log, and
 //! each keeps a cursor so later syncs only apply the delta. Workers
@@ -24,14 +22,13 @@
 //! # Escalation
 //!
 //! [`SatBackend::set_escalation_level`] selects the race width: level 0
-//! runs worker 0 inline (no threads, no sharing — search-identical to
-//! the plain CDCL backend), any higher level races the full configured
-//! width. The obligation scheduler uses this so easy obligations never
-//! pay portfolio overhead, and only budget-burning retries graduate to
-//! the full race. Without a hint (plain CLI use) every solve races.
+//! runs worker 0 inline (no threads — search-identical to the plain
+//! CDCL backend), any higher level races the full configured width.
+//! The obligation scheduler uses this so easy obligations never pay
+//! portfolio overhead, and only budget-burning retries graduate to the
+//! full race. Without a hint (plain CLI use) every solve races.
 
 use crate::budget::{ArmedBudget, StopReason};
-use crate::share::ClausePool;
 use crate::solver::{SolveResult, Solver, SolverConfig, SolverStats};
 use crate::{Lit, SatBackend, Var};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -41,8 +38,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 pub const MAX_WORKERS: usize = 64;
 
 /// Flat record of every instance-building operation, replayed into
-/// lazily materialized workers (same idea as the iCNF log of
-/// [`crate::DimacsBackend`], but kept structural to skip text parsing).
+/// lazily materialized workers.
 #[derive(Debug, Default, Clone)]
 struct OpLog {
     num_vars: usize,
@@ -69,7 +65,6 @@ pub struct PortfolioBackend {
     workers: Vec<WorkerSlot>,
     log: OpLog,
     target_workers: usize,
-    sharing: bool,
     conflict_budget: Option<u64>,
     armed: ArmedBudget,
     preprocess: bool,
@@ -85,8 +80,8 @@ pub struct PortfolioBackend {
 }
 
 impl Default for PortfolioBackend {
-    /// A 4-wide race with clause sharing; [`SatBackend::set_portfolio`]
-    /// changes both before the first race.
+    /// A 4-wide race; [`SatBackend::set_portfolio`] changes the width
+    /// before the first race.
     fn default() -> Self {
         Self::new(4)
     }
@@ -94,7 +89,7 @@ impl Default for PortfolioBackend {
 
 impl PortfolioBackend {
     /// Creates a portfolio of `workers` diversified members (clamped to
-    /// `1..=`[`MAX_WORKERS`]), clause sharing enabled.
+    /// `1..=`[`MAX_WORKERS`]).
     #[must_use]
     pub fn new(workers: usize) -> Self {
         let target = workers.clamp(1, MAX_WORKERS);
@@ -106,7 +101,6 @@ impl PortfolioBackend {
             }],
             log: OpLog::default(),
             target_workers: target,
-            sharing: true,
             conflict_budget: None,
             armed: ArmedBudget::unlimited(),
             preprocess: false,
@@ -121,12 +115,6 @@ impl PortfolioBackend {
     #[must_use]
     pub fn workers(&self) -> usize {
         self.target_workers
-    }
-
-    /// Whether clause sharing is enabled.
-    #[must_use]
-    pub fn sharing_enabled(&self) -> bool {
-        self.sharing
     }
 
     /// Applies the log suffix this slot has not seen yet. Returns
@@ -176,11 +164,10 @@ impl PortfolioBackend {
         }
     }
 
-    /// Runs worker 0 inline — no threads, no sharing. Search-identical
-    /// to the plain CDCL backend (worker 0 runs the default config).
+    /// Runs worker 0 inline, on no extra thread. Search-identical to the
+    /// plain CDCL backend (worker 0 runs the default config).
     fn solve_single(&mut self, assumptions: &[Lit]) -> SolveResult {
         let slot = &mut self.workers[0];
-        slot.solver.clear_sharing();
         slot.solver.set_budget(self.armed.clone());
         let result = slot.solver.solve_with(assumptions);
         if result == SolveResult::Sat {
@@ -194,22 +181,13 @@ impl PortfolioBackend {
     /// cancels the rest through their child budgets.
     fn solve_race(&mut self, width: usize, assumptions: &[Lit]) -> SolveResult {
         self.materialize(width);
-        let pool = if self.sharing {
-            Some(ClausePool::new(width))
-        } else {
-            None
-        };
         let children: Vec<ArmedBudget> = (0..width).map(|_| self.armed.child()).collect();
         let conflicts_before: Vec<u64> = self.workers[..width]
             .iter()
             .map(|s| s.solver.stats().conflicts)
             .collect();
-        for (i, slot) in self.workers[..width].iter_mut().enumerate() {
-            slot.solver.set_budget(children[i].clone());
-            match &pool {
-                Some(p) => slot.solver.set_sharing(p.clone(), i),
-                None => slot.solver.clear_sharing(),
-            }
+        for (slot, child) in self.workers[..width].iter_mut().zip(&children) {
+            slot.solver.set_budget(child.clone());
         }
 
         let winner = AtomicUsize::new(usize::MAX);
@@ -344,7 +322,6 @@ impl SatBackend for PortfolioBackend {
             aqed_obs::obs_event!(
                 "portfolio.race",
                 workers = width,
-                sharing = self.sharing,
                 escalation = i64::from(
                     self.escalation
                         .map_or(-1i32, |e| { i32::try_from(e).unwrap_or(i32::MAX) })
@@ -406,11 +383,10 @@ impl SatBackend for PortfolioBackend {
         self.escalation = Some(level);
     }
 
-    /// Sets the race width (clamped to `1..=`[`MAX_WORKERS`]) and clause
-    /// sharing. Workers beyond the new width stay idle.
-    fn set_portfolio(&mut self, workers: usize, sharing: bool) {
+    /// Sets the race width (clamped to `1..=`[`MAX_WORKERS`]). Workers
+    /// beyond the new width stay idle.
+    fn set_portfolio(&mut self, workers: usize) {
         self.target_workers = workers.clamp(1, MAX_WORKERS);
-        self.sharing = sharing;
     }
 }
 
@@ -441,8 +417,7 @@ mod tests {
         }
     }
 
-    /// Drives a backend through a small incremental session (same shape
-    /// as the backend.rs differential test).
+    /// Drives a backend through a small incremental session.
     fn session<B: SatBackend>(b: &mut B) -> Vec<SolveResult> {
         let v: Vec<Var> = (0..4).map(|_| b.new_var()).collect();
         b.add_clause(&[v[0].pos(), v[1].pos()]);
@@ -467,24 +442,11 @@ mod tests {
     }
 
     #[test]
-    fn portfolio_refutes_pigeonhole_with_and_without_sharing() {
-        for sharing in [true, false] {
-            let mut p = PortfolioBackend::new(4);
-            p.set_portfolio(4, sharing);
-            php(&mut p, 5);
-            assert_eq!(p.solve_under(&[]), SolveResult::Unsat, "sharing={sharing}");
-            let st = p.stats();
-            assert!(st.portfolio_winner.is_some());
-            if sharing {
-                assert!(
-                    st.shared_exported > 0,
-                    "a 4-way race on PHP must export short learnts"
-                );
-            } else {
-                assert_eq!(st.shared_exported, 0);
-                assert_eq!(st.shared_imported, 0);
-            }
-        }
+    fn portfolio_refutes_pigeonhole() {
+        let mut p = PortfolioBackend::new(4);
+        php(&mut p, 5);
+        assert_eq!(p.solve_under(&[]), SolveResult::Unsat);
+        assert!(p.stats().portfolio_winner.is_some());
     }
 
     #[test]
@@ -589,14 +551,12 @@ mod tests {
     }
 
     #[test]
-    fn set_portfolio_sets_width_and_sharing() {
+    fn set_portfolio_sets_width() {
         let mut p = PortfolioBackend::default();
         assert_eq!(p.workers(), 4);
-        assert!(p.sharing_enabled());
-        p.set_portfolio(3, false);
+        p.set_portfolio(3);
         assert_eq!(p.workers(), 3);
-        assert!(!p.sharing_enabled());
-        p.set_portfolio(0, true);
+        p.set_portfolio(0);
         assert_eq!(p.workers(), 1, "width is clamped");
     }
 }

@@ -20,20 +20,13 @@ use crate::alloc::ClauseAllocator;
 use crate::budget::{ArmedBudget, StopReason};
 use crate::heap::ActivityHeap;
 use crate::preprocess::{ElimRecord, PreprocessOutcome, Preprocessor};
-use crate::share::{ClausePool, ShareCtx, SharedClause, MAX_SHARED_GLUE, MAX_SHARED_LITS};
 use crate::{ClauseRef, LBool, Lit, Var};
 use std::fmt;
-use std::sync::Arc;
 
 const VAR_RESCALE_LIMIT: f64 = 1e100;
 const VAR_RESCALE_FACTOR: f64 = 1e-100;
 const CLA_RESCALE_LIMIT: f64 = 1e20;
 const CLA_RESCALE_FACTOR: f64 = 1e-20;
-
-/// Imported peer clauses wait in a bounded buffer until the search is
-/// back at decision level 0; beyond this many pending clauses the drain
-/// stops picking up more (losing shared clauses is always sound).
-const MAX_PENDING_IMPORTS: usize = 4096;
 
 /// Smoothing factors of the fast/slow literal-block-distance averages
 /// behind glucose-style restarts.
@@ -277,10 +270,6 @@ pub struct SolverStats {
     /// Preprocessing passes run (the effort gate's firings plus explicit
     /// [`Solver::simplify`] calls).
     pub preprocess_runs: u64,
-    /// Learnt clauses exported to portfolio peers (clause sharing).
-    pub shared_exported: u64,
-    /// Peer clauses imported and installed (clause sharing).
-    pub shared_imported: u64,
     /// Conflicts spent by losing portfolio workers — search effort that
     /// did not produce the verdict.
     pub wasted_conflicts: u64,
@@ -310,8 +299,6 @@ impl SolverStats {
         self.eliminated_vars += other.eliminated_vars;
         self.preprocess_micros += other.preprocess_micros;
         self.preprocess_runs += other.preprocess_runs;
-        self.shared_exported += other.shared_exported;
-        self.shared_imported += other.shared_imported;
         self.wasted_conflicts += other.wasted_conflicts;
         self.learnt_imported += other.learnt_imported;
         if other.portfolio_winner.is_some() {
@@ -340,8 +327,6 @@ impl SolverStats {
                 .preprocess_micros
                 .saturating_sub(earlier.preprocess_micros),
             preprocess_runs: self.preprocess_runs.saturating_sub(earlier.preprocess_runs),
-            shared_exported: self.shared_exported.saturating_sub(earlier.shared_exported),
-            shared_imported: self.shared_imported.saturating_sub(earlier.shared_imported),
             wasted_conflicts: self
                 .wasted_conflicts
                 .saturating_sub(earlier.wasted_conflicts),
@@ -357,8 +342,8 @@ impl fmt::Display for SolverStats {
             f,
             "decisions={} propagations={} conflicts={} restarts={} learnts={} deleted={} \
              binary_props={} gc_runs={} arena_bytes={} subsumed={} eliminated_vars={} \
-             preprocess_micros={} preprocess_runs={} shared_exported={} shared_imported={} \
-             wasted_conflicts={} learnt_imported={} portfolio_winner={}",
+             preprocess_micros={} preprocess_runs={} wasted_conflicts={} learnt_imported={} \
+             portfolio_winner={}",
             self.decisions,
             self.propagations,
             self.conflicts,
@@ -372,8 +357,6 @@ impl fmt::Display for SolverStats {
             self.eliminated_vars,
             self.preprocess_micros,
             self.preprocess_runs,
-            self.shared_exported,
-            self.shared_imported,
             self.wasted_conflicts,
             self.learnt_imported,
             self.portfolio_winner
@@ -466,17 +449,12 @@ pub struct Solver {
     /// consulted while both `config` frequencies are zero.
     rng: XorShift64,
     /// Fast/slow exponential moving averages of learnt-clause glue,
-    /// driving glucose-style restarts (and the clause-sharing filter).
+    /// driving glucose-style restarts.
     lbd_fast: f64,
     lbd_slow: f64,
     /// Per-decision-level stamps for O(|clause|) glue computation.
     glue_stamp: Vec<u64>,
     glue_tick: u64,
-    /// Clause-sharing pool membership (portfolio workers only).
-    share: Option<ShareCtx>,
-    /// Peer clauses picked up at the budget tick, waiting for decision
-    /// level 0 to be installed.
-    pending_import: Vec<SharedClause>,
     decision_heuristic: bool,
     stats: SolverStats,
     num_learnts: u64,
@@ -582,8 +560,6 @@ impl Solver {
             // one entry ahead of the deepest possible level.
             glue_stamp: vec![0],
             glue_tick: 0,
-            share: None,
-            pending_import: Vec::new(),
             decision_heuristic: true,
             stats: SolverStats::default(),
             num_learnts: 0,
@@ -609,21 +585,6 @@ impl Solver {
     pub fn set_config(&mut self, config: SolverConfig) {
         self.rng = XorShift64::new(config.seed);
         self.config = config;
-    }
-
-    /// Joins a clause-sharing pool as worker `id`: short, low-glue learnt
-    /// clauses are exported to the pool and peer clauses are picked up at
-    /// the coarse budget tick, then installed at decision level 0. All
-    /// participants must share one variable numbering (the portfolio
-    /// backend keeps workers variable-synchronized before each solve).
-    pub fn set_sharing(&mut self, pool: Arc<ClausePool>, id: usize) {
-        self.share = Some(ShareCtx::new(pool, id));
-    }
-
-    /// Leaves the clause-sharing pool. Already-imported clauses remain
-    /// (they are implied, so keeping them is always sound).
-    pub fn clear_sharing(&mut self) {
-        self.share = None;
     }
 
     /// Number of variables created so far.
@@ -1301,49 +1262,11 @@ impl Solver {
         glue
     }
 
-    /// Coarse-tick bookkeeping: progress sampling, peer-clause pickup,
-    /// and the armed-budget check.
+    /// Coarse-tick bookkeeping: progress sampling and the armed-budget
+    /// check.
     fn tick_poll(&mut self) -> Option<StopReason> {
         self.obs_sample();
-        if self.share.is_some() {
-            self.drain_shared();
-        }
         self.check_armed()
-    }
-
-    /// Copies freshly published peer clauses into the pending-import
-    /// buffer (bounded; overflow is dropped, which is always sound).
-    #[cold]
-    fn drain_shared(&mut self) {
-        if let Some(ctx) = self.share.as_mut() {
-            let pending = &mut self.pending_import;
-            ctx.drain(|c| {
-                if pending.len() < MAX_PENDING_IMPORTS {
-                    pending.push(c);
-                }
-            });
-        }
-    }
-
-    /// Installs pending peer clauses. Only called at decision level 0.
-    /// Returns `false` if an import revealed top-level unsatisfiability.
-    ///
-    /// Peer learnts are implied by the shared original formula, so
-    /// installing them preserves both verdicts and models — even when
-    /// they mention variables this worker's preprocessor eliminated
-    /// (every model of the originals satisfies every implied clause, so
-    /// model reconstruction stays valid without reactivation).
-    fn install_imports(&mut self) -> bool {
-        debug_assert_eq!(self.decision_level(), 0);
-        while let Some(c) = self.pending_import.pop() {
-            if !self.ok {
-                self.pending_import.clear();
-                return false;
-            }
-            self.stats.shared_imported += 1;
-            self.add_learnt_vec(c.lits().to_vec());
-        }
-        self.ok
     }
 
     /// Whether the clause is the reason of its first literal's
@@ -1498,11 +1421,6 @@ impl Solver {
         let budget_start = self.stats.conflicts;
         let mut restart_count = 0u64;
         let result = loop {
-            // Between runs the solver sits at level 0: the natural point
-            // to install clauses imported from portfolio peers.
-            if !self.pending_import.is_empty() && !self.install_imports() {
-                break SolveResult::Unsat;
-            }
             let conflicts_allowed = match self.config.restart {
                 RestartStrategy::Luby { base, unit } => {
                     unit.saturating_mul(luby(base, restart_count) as u64)
@@ -1594,21 +1512,12 @@ impl Solver {
                     return SearchOutcome::Unsat;
                 }
                 let (learnt, bt_level) = self.analyze(conflict);
-                // Glue is only needed for glucose restarts and the
-                // sharing filter; the default Luby-without-sharing path
-                // skips the computation entirely.
-                if self.share.is_some()
-                    || matches!(self.config.restart, RestartStrategy::Glucose { .. })
-                {
+                // Glue is only needed for glucose restarts; the default
+                // Luby path skips the computation entirely.
+                if matches!(self.config.restart, RestartStrategy::Glucose { .. }) {
                     let glue = self.clause_glue(&learnt);
                     self.lbd_fast += LBD_EMA_FAST * (f64::from(glue) - self.lbd_fast);
                     self.lbd_slow += LBD_EMA_SLOW * (f64::from(glue) - self.lbd_slow);
-                    if glue <= MAX_SHARED_GLUE && learnt.len() <= MAX_SHARED_LITS {
-                        if let Some(share) = &self.share {
-                            share.export(&learnt);
-                            self.stats.shared_exported += 1;
-                        }
-                    }
                 }
                 self.backtrack_to(bt_level);
                 match learnt.len() {
@@ -1644,12 +1553,6 @@ impl Solver {
                         self.backtrack_to(0);
                         return SearchOutcome::Interrupted(reason);
                     }
-                }
-                if !self.pending_import.is_empty()
-                    && self.decision_level() == 0
-                    && !self.install_imports()
-                {
-                    return SearchOutcome::Unsat;
                 }
                 let restart_now = match self.config.restart {
                     RestartStrategy::Luby { .. } => conflicts_here >= conflicts_allowed,
@@ -2836,8 +2739,6 @@ mod tests {
             eliminated_vars: 11,
             preprocess_micros: 12,
             preprocess_runs: 17,
-            shared_exported: 13,
-            shared_imported: 14,
             wasted_conflicts: 15,
             learnt_imported: 16,
             portfolio_winner: None,
@@ -2856,8 +2757,6 @@ mod tests {
             eliminated_vars: 1100,
             preprocess_micros: 1200,
             preprocess_runs: 1700,
-            shared_exported: 1300,
-            shared_imported: 1400,
             wasted_conflicts: 1500,
             learnt_imported: 1600,
             portfolio_winner: Some(2),
@@ -2888,8 +2787,6 @@ mod tests {
         assert_eq!(a.eliminated_vars, 1111);
         assert_eq!(a.preprocess_micros, 1212);
         assert_eq!(a.preprocess_runs, 1717);
-        assert_eq!(a.shared_exported, 1313);
-        assert_eq!(a.shared_imported, 1414);
         assert_eq!(a.wasted_conflicts, 1515);
         assert_eq!(a.learnt_imported, 1616);
         assert_eq!(
@@ -2902,8 +2799,6 @@ mod tests {
         assert_eq!(a.portfolio_winner, Some(2));
         let shown = a.to_string();
         for needle in [
-            "shared_exported=1313",
-            "shared_imported=1414",
             "wasted_conflicts=1515",
             "learnt_imported=1616",
             "preprocess_runs=1717",

@@ -29,8 +29,8 @@ const USAGE: &str = "usage:
   aqed-serve dump --addr ADDR
 
 verify flags (mirroring `aqed verify`):
-  --healthy --bound N --jobs N --backend cdcl|dimacs|portfolio
-  --portfolio-workers N --no-clause-sharing --timeout-secs S
+  --healthy --bound N --jobs N --backend cdcl|portfolio
+  --portfolio-workers N --timeout-secs S
   --conflict-budget N --fail-fast --no-preprocess --no-coi";
 
 fn main() -> ExitCode {
@@ -233,15 +233,13 @@ fn submit_cmd(args: &[String]) -> io::Result<u8> {
                 let w: usize = parse_num("--portfolio-workers", it.next())?;
                 edits.push(Box::new(move |r| r.portfolio_workers = w.max(1)));
             }
-            "--no-clause-sharing" => edits.push(Box::new(|r| r.clause_sharing = false)),
             "--timeout-secs" => {
                 let s: f64 = parse_num("--timeout-secs", it.next())?;
-                if s <= 0.0 || !s.is_finite() {
-                    return Err(usage_err("--timeout-secs needs a positive number"));
-                }
-                edits.push(Box::new(move |r| {
-                    r.timeout = Some(Duration::from_secs_f64(s))
-                }));
+                let t = Duration::try_from_secs_f64(s)
+                    .ok()
+                    .filter(|t| !t.is_zero())
+                    .ok_or_else(|| usage_err("--timeout-secs needs a positive number"))?;
+                edits.push(Box::new(move |r| r.timeout = Some(t)));
             }
             "--conflict-budget" => {
                 let c: u64 = parse_num("--conflict-budget", it.next())?;

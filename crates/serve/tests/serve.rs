@@ -281,15 +281,18 @@ fn health_reports_queue_workers_and_store() {
 }
 
 /// Sends raw bytes on a fresh connection and returns the first reply
-/// line.
+/// line. A reply slower than five seconds fails the test.
 fn raw_roundtrip(addr: std::net::SocketAddr, payload: &[u8]) -> String {
     let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("timeout");
     let mut writer = stream.try_clone().expect("clone");
     writer.write_all(payload).expect("send");
     writer.flush().expect("flush");
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
-    reader.read_line(&mut line).expect("reply");
+    reader.read_line(&mut line).expect("timely reply");
     line
 }
 
@@ -330,6 +333,35 @@ fn garbage_input_earns_structured_rejections_not_dead_workers() {
     req.bound = Some(4);
     let outcome = submit(addr, &req).expect("served run");
     assert_eq!(outcome.exit_code, 0, "{}", outcome.verdict);
+    server.begin_shutdown();
+    server.join();
+}
+
+#[test]
+fn hostile_json_lines_are_rejected_without_stalling() {
+    // The default 1 MiB line cap admits both probes.
+    let opts = options(1, 4);
+    let server = Server::start(&opts).expect("bind");
+    let addr = server.addr();
+    // Ten thousand open brackets: nesting past the parser's bound is a
+    // malformed command, not a stack overflow that aborts the daemon.
+    let mut deep = b"{\"cmd\":".to_vec();
+    deep.extend(std::iter::repeat_n(b'[', 10_000));
+    deep.push(b'\n');
+    let reply = raw_roundtrip(addr, &deep);
+    assert!(
+        reply.contains("job.rejected") && reply.contains("malformed"),
+        "{reply}"
+    );
+    assert!(ping(addr), "the daemon survives the deep line");
+    // One object of 90,000 distinct keys, just under the line cap: the
+    // duplicate-key check must not compare every pair.
+    let keys: Vec<String> = (0..90_000).map(|i| format!("\"k{i}\":0")).collect();
+    let wide = format!("{{{}}}\n", keys.join(","));
+    assert!(wide.len() < opts.max_line_bytes, "{} bytes", wide.len());
+    let reply = raw_roundtrip(addr, wide.as_bytes());
+    assert!(reply.contains("job.rejected"), "{reply}");
+    assert!(ping(addr), "the daemon survives the wide line");
     server.begin_shutdown();
     server.join();
 }
